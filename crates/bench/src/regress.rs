@@ -462,6 +462,17 @@ pub const SMALL_SHARD_BYTES: f64 = 4.0 * 1024.0 * 1024.0;
 /// onto the hot path.
 pub const WARM_OPEN_MIN_SPEEDUP: f64 = 100.0;
 
+/// The served-path throughput floor: a closed-loop `rc soak --connect`
+/// t1 run against the daemon must deliver at least this fraction of the
+/// in-process `rc soak` t1 throughput. The daemon adds only transport,
+/// parsing and rendering to the in-process rank call, so a larger gap
+/// means per-request work crept onto the served path.
+pub const SERVE_QPS_MIN_RATIO: f64 = 0.8;
+
+/// The served-path latency ceiling: the daemon's t1 p50 under load may
+/// be at most this many times the in-process t1 p50 under load.
+pub const SERVE_P50_MAX_RATIO: f64 = 1.5;
+
 /// One counter-invariant verdict (see [`counter_checks`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterCheck {
@@ -638,6 +649,55 @@ pub fn warm_open_checks(baseline: &Json, current: &Json) -> Vec<CounterCheck> {
                 .partial_cmp(&streamed)
                 .is_none_or(|ord| ord == std::cmp::Ordering::Greater),
         });
+    }
+    checks
+}
+
+/// The served-versus-in-process invariants, checked per snapshot that
+/// records both sides: `serve_qps_t1 ≥` [`SERVE_QPS_MIN_RATIO`]` ×
+/// qps_t1` and `serve_p50_under_load_t1_ms ≤` [`SERVE_P50_MAX_RATIO`]` ×
+/// p50_under_load_t1_ms`. Absolute per snapshot, like the overhead
+/// budgets; snapshots without a `rc soak --connect` run skip them.
+///
+/// Advisory for now: [`RegressReport::compare`] reports a failed ratio
+/// as a warning, not a regression. The daemon still delivers under 0.8×
+/// the in-process t1 throughput, so a blocking gate would fail every
+/// run; it becomes a counter invariant once that gap is closed.
+pub fn serve_ratio_checks(baseline: &Json, current: &Json) -> Vec<CounterCheck> {
+    let mut checks = Vec::new();
+    for (label, snap) in [("baseline", baseline), ("current", current)] {
+        let get = |key: &str| snap.get(key).and_then(Json::as_f64);
+        if let (Some(served), Some(local)) = (get("serve_qps_t1"), get("qps_t1")) {
+            checks.push(CounterCheck {
+                name: "serve_qps_t1_ratio",
+                detail: format!(
+                    "{label}: served {served:.0} qps vs in-process {local:.0} qps ({:.2}×, need \
+                     ≥{SERVE_QPS_MIN_RATIO}×)",
+                    served / local
+                ),
+                // Written so NaN (incomparable) fails rather than passes.
+                failed: !matches!(
+                    served.partial_cmp(&(SERVE_QPS_MIN_RATIO * local)),
+                    Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
+                ),
+            });
+        }
+        if let (Some(served), Some(local)) =
+            (get("serve_p50_under_load_t1_ms"), get("p50_under_load_t1_ms"))
+        {
+            checks.push(CounterCheck {
+                name: "serve_p50_t1_ratio",
+                detail: format!(
+                    "{label}: served p50 {served:.3} ms vs in-process {local:.3} ms ({:.2}×, need \
+                     ≤{SERVE_P50_MAX_RATIO}×)",
+                    served / local
+                ),
+                failed: !matches!(
+                    served.partial_cmp(&(SERVE_P50_MAX_RATIO * local)),
+                    Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
+                ),
+            });
+        }
     }
     checks
 }
@@ -825,7 +885,11 @@ impl RegressReport {
         counters.extend(warm_open_checks(baseline, current));
         counters.extend(soak_overhead_checks(baseline, current));
         counters.extend(profile_overhead_checks(baseline, current));
-        let mut warnings = Vec::new();
+        let mut warnings: Vec<String> = serve_ratio_checks(baseline, current)
+            .into_iter()
+            .filter(|c| c.failed)
+            .map(|c| format!("{} out of bounds (advisory, not gated): {}", c.name, c.detail))
+            .collect();
         if small_shards {
             warnings.push(
                 "shards average under 4 MiB (bytes_per_shard): per-file fixed costs flatten \
@@ -1248,6 +1312,58 @@ mod tests {
             .unwrap()
             .regressed);
         assert!(!RegressReport::compare(&base, &serve_snap(1500.0, 6.4), 0.2).any_regressed());
+    }
+
+    /// A snapshot carrying the t1 keys of both soaks: in-process and served.
+    fn both_soaks(qps_t1: f64, p50_t1: f64, serve_qps_t1: f64, serve_p50_t1: f64) -> Json {
+        parse_json(&format!(
+            r#"{{"qps_t1": {qps_t1}, "p50_under_load_t1_ms": {p50_t1},
+                "serve_qps_t1": {serve_qps_t1}, "serve_p50_under_load_t1_ms": {serve_p50_t1}}}"#
+        ))
+        .unwrap()
+    }
+
+    fn ratio_check(baseline: &Json, current: &Json, name: &str) -> Vec<CounterCheck> {
+        serve_ratio_checks(baseline, current).into_iter().filter(|c| c.name == name).collect()
+    }
+
+    #[test]
+    fn served_keys_are_checked_against_the_in_process_soak() {
+        // Within both ratios (and exactly on them): passes, once per snapshot.
+        let good = both_soaks(2000.0, 0.4, 1700.0, 0.5);
+        let edge = both_soaks(2000.0, 0.4, 1600.0, 0.6);
+        let checks = serve_ratio_checks(&good, &edge);
+        assert_eq!(checks.len(), 4);
+        assert!(checks.iter().all(|c| !c.failed), "{checks:?}");
+
+        // The daemon under 0.8× the in-process throughput fails, even
+        // when the baseline carries the same numbers (no baseline slack).
+        let slow = both_soaks(2000.0, 0.4, 1500.0, 0.5);
+        assert!(ratio_check(&slow, &slow, "serve_qps_t1_ratio").iter().all(|c| c.failed));
+        assert!(ratio_check(&slow, &slow, "serve_p50_t1_ratio").iter().all(|c| !c.failed));
+
+        // A served p50 over 1.5× the in-process p50 fails.
+        let laggy = both_soaks(2000.0, 0.4, 1700.0, 0.7);
+        let p50 = ratio_check(&good, &laggy, "serve_p50_t1_ratio");
+        assert!(!p50[0].failed && p50[1].failed, "{p50:?}");
+
+        // NaN is incomparable and fails; a snapshot missing either side
+        // of a pair skips that check.
+        let mut broken = good.clone();
+        broken.set("serve_qps_t1", Json::Num(f64::NAN));
+        assert!(ratio_check(&good, &broken, "serve_qps_t1_ratio")[1].failed);
+        assert!(serve_ratio_checks(&serve_snap(1500.0, 6.0), &serve_snap(1500.0, 6.0)).is_empty());
+
+        // Advisory: a failed ratio is reported as a warning naming the
+        // measured ratio, never as a regression.
+        let r = RegressReport::compare(&good, &laggy, 0.2);
+        assert!(!r.any_regressed(), "{}", r.render());
+        assert!(r.counters.iter().all(|c| !c.name.starts_with("serve_")));
+        let warned: Vec<_> = r.warnings.iter().filter(|w| w.starts_with("serve_")).collect();
+        assert_eq!(warned.len(), 1, "{warned:?}");
+        assert!(warned[0].contains("serve_p50_t1_ratio") && warned[0].contains("1.75×"));
+        let r = RegressReport::compare(&good, &edge, 0.2);
+        assert!(r.warnings.iter().all(|w| !w.starts_with("serve_")));
     }
 
     #[test]

@@ -182,11 +182,14 @@ pub struct RankApp {
 }
 
 impl RankApp {
-    /// Warms the app over a prepared bench: computes the shared
-    /// attribution once (every request reuses it — the daemon's
-    /// amortisation story) and fingerprints the snapshot for
-    /// `/healthz`.
+    /// Warms the app over a prepared bench: trains the process-wide
+    /// language profiles, computes the shared attribution once (every
+    /// request reuses both — the daemon's amortisation story) and
+    /// fingerprints the snapshot for `/healthz`.
     pub fn new(bench: Bench, snapshot_label: String, load: Option<SnapshotLoad>) -> RankApp {
+        // The first identifier in a process trains the language profiles;
+        // build one now so no client's request pays for that.
+        let _ = rightcrowd_langid::LanguageIdentifier::new();
         let config = FinderConfig::default();
         let attribution = bench.ctx().attribution(&config);
         // On the mapped path the index is borrowed from `mmap(2)` pages

@@ -61,4 +61,25 @@ mod tests {
         assert!(par_map(&[] as &[u32], 4, |&x| x).is_empty());
         assert_eq!(par_map(&[7u32], 4, |&x| x + 1), vec![8]);
     }
+
+    #[test]
+    fn worker_spans_are_published_when_par_map_returns() {
+        // Workers start fresh span stacks, so the span is a thread root.
+        fn calls() -> u64 {
+            rightcrowd_obs::span::spans_snapshot()
+                .into_iter()
+                .find(|(path, _)| path == "test_par_worker_span")
+                .map_or(0, |(_, stat)| stat.calls)
+        }
+        let items: Vec<u32> = (0..8).collect();
+        let per_round = if rightcrowd_obs::PROBES_ENABLED { items.len() as u64 } else { 0 };
+        for round in 0..200 {
+            let before = calls();
+            par_map(&items, 4, |&x| {
+                let _span = rightcrowd_obs::span!("test_par_worker_span");
+                x
+            });
+            assert_eq!(calls() - before, per_round, "round {round}: a worker's spans were lost");
+        }
+    }
 }

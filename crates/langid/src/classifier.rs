@@ -3,6 +3,7 @@
 use crate::corpora::training_pairs;
 use crate::profile::{LanguageProfile, PROFILE_SIZE};
 use rightcrowd_types::Language;
+use std::sync::OnceLock;
 
 /// Minimum number of characters before a classification is attempted;
 /// shorter snippets ("ok!!", "+1") return [`Language::Unknown`].
@@ -28,13 +29,29 @@ impl Classification {
     pub const UNKNOWN: Classification = Classification { language: Language::Unknown, confidence: 0.0 };
 }
 
-/// A trained language identifier.
+/// The rank-order profiles trained from the embedded corpora, shared by
+/// every [`LanguageIdentifier`] in the process.
+static PROFILES: OnceLock<Vec<LanguageProfile>> = OnceLock::new();
+
+/// Trains one profile per seed corpus. Runs once per process, on the
+/// first [`LanguageIdentifier::new`]; concurrent first callers block on
+/// the one training instead of repeating it.
+fn train() -> Vec<LanguageProfile> {
+    let _span = rightcrowd_obs::span!("langid.train");
+    training_pairs()
+        .into_iter()
+        .map(|(lang, text)| LanguageProfile::from_text(lang, text))
+        .collect()
+}
+
+/// A trained language identifier: a view of the process-wide profiles.
 ///
-/// Construction trains rank-order profiles from the embedded corpora; the
-/// instance is immutable afterwards and cheap to share.
-#[derive(Debug, Clone)]
+/// The profiles are trained once per process, on the first
+/// [`LanguageIdentifier::new`], and shared by every identifier after it,
+/// so construction is free and the value is `Copy`.
+#[derive(Debug, Clone, Copy)]
 pub struct LanguageIdentifier {
-    profiles: Vec<LanguageProfile>,
+    profiles: &'static [LanguageProfile],
 }
 
 impl Default for LanguageIdentifier {
@@ -44,13 +61,16 @@ impl Default for LanguageIdentifier {
 }
 
 impl LanguageIdentifier {
-    /// Trains the identifier on the embedded seed corpora.
+    /// The identifier over the embedded seed corpora. The first call in
+    /// a process trains the profiles; every later call only borrows them.
     pub fn new() -> Self {
-        let profiles = training_pairs()
-            .into_iter()
-            .map(|(lang, text)| LanguageProfile::from_text(lang, text))
-            .collect();
-        LanguageIdentifier { profiles }
+        Self::over(&PROFILES)
+    }
+
+    /// The identifier over the profiles in `cell`, training them first if
+    /// the cell is still empty.
+    fn over(cell: &'static OnceLock<Vec<LanguageProfile>>) -> Self {
+        LanguageIdentifier { profiles: cell.get_or_init(train) }
     }
 
     /// Classifies `text`, returning the best language and a confidence.
@@ -66,7 +86,7 @@ impl LanguageIdentifier {
         }
         let worst = document.len() * PROFILE_SIZE;
         let mut best: Option<(Language, usize)> = None;
-        for profile in &self.profiles {
+        for profile in self.profiles {
             let d = profile.out_of_place(&document);
             if best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((profile.language, d));
@@ -152,19 +172,59 @@ mod tests {
         assert!(!id.retains("Quale scheda grafica mi consigliate per giocare senza spendere troppo?"));
     }
 
+    /// The paper's six example expertise needs.
+    const PAPER_QUERIES: [&str; 6] = [
+        "Which PHP function can I use in order to obtain the length of a string?",
+        "Can you list some restaurants in Milan?",
+        "Can you list some famous actors in how I met your mother?",
+        "Can you list some famous songs of Michael Jackson?",
+        "Why is copper a good conductor?",
+        "Can you list some famous European football teams?",
+    ];
+
     #[test]
     fn paper_example_queries_are_english() {
         let id = ident();
-        for q in [
-            "Which PHP function can I use in order to obtain the length of a string?",
-            "Can you list some restaurants in Milan?",
-            "Can you list some famous actors in how I met your mother?",
-            "Can you list some famous songs of Michael Jackson?",
-            "Why is copper a good conductor?",
-            "Can you list some famous European football teams?",
-        ] {
+        for q in PAPER_QUERIES {
             assert_eq!(id.detect(q), Language::English, "misclassified: {q}");
         }
+    }
+
+    #[test]
+    fn identifiers_share_one_profile_set() {
+        let (a, b) = (ident(), ident());
+        assert!(std::ptr::eq(a.profiles, b.profiles));
+        assert_eq!(a.profiles.len(), training_pairs().len());
+    }
+
+    #[test]
+    fn racing_first_use_classifies_like_a_private_training() {
+        // A cell no other test touches, so the eight threads really race
+        // on its first use through the same path `new` takes.
+        static FRESH: OnceLock<Vec<LanguageProfile>> = OnceLock::new();
+        const THREADS: usize = 8;
+        let private = LanguageIdentifier { profiles: train().leak() };
+        let texts: Vec<&str> =
+            PAPER_QUERIES.into_iter().chain(training_pairs().map(|(_, text)| text)).collect();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let shared: Vec<&'static [LanguageProfile]> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let raced = LanguageIdentifier::over(&FRESH);
+                        for id in [raced, ident()] {
+                            for text in &texts {
+                                assert_eq!(id.classify(text), private.classify(text), "{text}");
+                            }
+                        }
+                        raced.profiles
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("racing thread")).collect()
+        });
+        assert!(shared.iter().all(|p| std::ptr::eq(*p, shared[0])), "trained more than once");
     }
 
     #[test]

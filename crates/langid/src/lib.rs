@@ -9,8 +9,11 @@
 //!
 //! The classifier is a from-scratch implementation of the Cavnar–Trenkle
 //! rank-order ("out-of-place") character n-gram method (*N-Gram-Based Text
-//! Categorization*, SDAIR 1994), trained at first use on small embedded
-//! seed corpora for English, Italian, French, German and Spanish.
+//! Categorization*, SDAIR 1994), trained on small embedded seed corpora
+//! for English, Italian, French, German and Spanish. Training runs once
+//! per process, on the first [`LanguageIdentifier::new`]; every
+//! identifier after it shares the same profiles, so constructing one
+//! (and an analysis pipeline around it) costs nothing.
 
 pub mod classifier;
 pub mod corpora;

@@ -3,11 +3,9 @@
 use proptest::prelude::*;
 use rightcrowd_langid::{LanguageIdentifier, LanguageProfile};
 use rightcrowd_types::Language;
-use std::sync::OnceLock;
 
-fn ident() -> &'static LanguageIdentifier {
-    static CELL: OnceLock<LanguageIdentifier> = OnceLock::new();
-    CELL.get_or_init(LanguageIdentifier::new)
+fn ident() -> LanguageIdentifier {
+    LanguageIdentifier::new()
 }
 
 proptest! {

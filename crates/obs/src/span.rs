@@ -5,10 +5,13 @@
 //! own collector — a slot table keyed by `(parent slot, name)`, so a span
 //! enter/exit is two `Instant::now()` calls plus one small-map lookup,
 //! with **no** allocation and **no** global lock. Slot statistics are
-//! flushed into the global span table when the thread exits (scoped
-//! `par_map` workers flush automatically via the thread-local destructor)
-//! or when [`flush_thread`] / [`crate::snapshot()`] runs on the owning
-//! thread.
+//! flushed into the global span table by the thread-local destructor when
+//! the thread exits, or when [`flush_thread`] / [`crate::snapshot()`] runs
+//! on the owning thread. A worker's flush is guaranteed visible only once
+//! the thread has been *joined*: `std::thread::scope` may return as soon
+//! as a scoped closure ends, before that thread's TLS destructors run, so
+//! callers that read the table after a fan-out (`par_map`, the daemon's
+//! worker pool) must join every handle first.
 //!
 //! Spans honour a global enable flag ([`set_spans_enabled`], default on)
 //! checked with one relaxed load before any clock is touched, and compile
@@ -325,9 +328,14 @@ mod tests {
     fn worker_threads_flush_on_exit() {
         let _guard = flag_lock();
         std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _s = crate::span!("test_worker_span");
-            });
+            // Joining waits for the worker's TLS destructors (the flush);
+            // the scope's own implicit wait does not.
+            scope
+                .spawn(|| {
+                    let _s = crate::span!("test_worker_span");
+                })
+                .join()
+                .expect("span worker");
         });
         let rows = spans_snapshot();
         if cfg!(feature = "obs-off") {

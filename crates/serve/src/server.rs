@@ -236,11 +236,12 @@ impl Server {
     pub fn run(&self, app: &dyn App) {
         let queue = ConnQueue::new(self.config.queue_cap);
         std::thread::scope(|scope| {
+            let mut workers = Vec::new();
             for worker in 0..self.config.threads.max(1) {
                 let queue = &queue;
                 let stats = &self.stats;
                 let config = &self.config;
-                std::thread::Builder::new()
+                let handle = std::thread::Builder::new()
                     .name(format!("serve-worker-{worker}"))
                     .spawn_scoped(scope, move || {
                         while let Some(conn) = queue.pop() {
@@ -248,6 +249,7 @@ impl Server {
                         }
                     })
                     .expect("spawning a worker thread");
+                workers.push(handle);
             }
 
             // The acceptor runs on the calling thread so `run` owns the
@@ -277,6 +279,12 @@ impl Server {
             // Wake every parked worker so they observe the latch (after
             // draining whatever is still queued).
             queue.ready.notify_all();
+            // Join explicitly: unlike the scope's implicit wait, a join
+            // also waits for each worker's thread-local destructors, which
+            // publish its spans to the global table.
+            for worker in workers {
+                worker.join().expect("serve worker");
+            }
         });
     }
 }
