@@ -5,17 +5,16 @@
 //! RIGHTCROWD_SCALE=tiny cargo run --release -p rightcrowd-bench --bin rc -- eval --platform tw
 //! cargo run --release -p rightcrowd-bench --bin rc -- stats
 //! cargo run --release -p rightcrowd-bench --bin rc -- bench --scale small
-//! cargo run --release -p rightcrowd-bench --bin rc -- save --snapshot corpus.rcs
-//! cargo run --release -p rightcrowd-bench --bin rc -- save --snapshot corpus.shards --shards 4
-//! cargo run --release -p rightcrowd-bench --bin rc -- load --snapshot corpus.rcs
-//! cargo run --release -p rightcrowd-bench --bin rc -- load --snapshot corpus.shards --threads 4
-//! cargo run --release -p rightcrowd-bench --bin rc -- explain "famous freestyle swimmers" --snapshot corpus.rcs
+//! cargo run --release -p rightcrowd-bench --bin rc -- save --snapshot corpus.snap
+//! cargo run --release -p rightcrowd-bench --bin rc -- save --snapshot corpus.snap --shards 8
+//! cargo run --release -p rightcrowd-bench --bin rc -- load --snapshot corpus.snap --threads 4
+//! cargo run --release -p rightcrowd-bench --bin rc -- explain "famous freestyle swimmers" --snapshot corpus.snap
 //! cargo run --release -p rightcrowd-bench --bin rc -- metrics --trace
 //! cargo run --release -p rightcrowd-bench --bin rc -- regress BENCH_small.json target/BENCH_small.json
 //! cargo run --release -p rightcrowd-bench --bin rc -- explain "famous freestyle swimmers" --top 3
 //! cargo run --release -p rightcrowd-bench --bin rc -- flight --slowest 10 --capacity 1024
 //! cargo run --release -p rightcrowd-bench --bin rc -- soak --out target/perf --duration 30s --watch
-//! cargo run --release -p rightcrowd-bench --bin rc -- serve --snapshot corpus.shards --addr 127.0.0.1:7700
+//! cargo run --release -p rightcrowd-bench --bin rc -- serve --snapshot corpus.snap --addr 127.0.0.1:7700
 //! cargo run --release -p rightcrowd-bench --bin rc -- soak --connect 127.0.0.1:7700 --duration 10s
 //! cargo run --release -p rightcrowd-bench --bin rc -- profile bench --out target/perf --hz 1000
 //! cargo run --release -p rightcrowd-bench --bin rc -- profile soak --duration 10s --svg flame.svg
@@ -115,8 +114,8 @@ fn main() {
         Command::Bench { out, snapshot, shards } => {
             // The bench always cold-builds (snapshot_load_ms must be
             // compared against a real cold_build_ms from the same run),
-            // then measures the save → load round trip against --snapshot
-            // or a temp file, monolithic and sharded both.
+            // then measures the save → open round trip against --snapshot
+            // or a temp directory.
             let bench = Bench::prepare();
             let report = BenchReport::measure_with(&bench, snapshot.as_deref(), shards);
             println!(
@@ -135,13 +134,11 @@ fn main() {
                 },
             );
             println!(
-                "sharded ({} shards, {} byte manifest): load {:.0} / {:.0} / {:.0} / {:.0} ms at 1/2/4/8 threads",
+                "{} shards + {} byte manifest: cold open {:.0} ms, warm open {:.3} ms",
                 report.shard_count,
                 report.manifest_bytes,
-                report.sharded_load_ms_t1,
-                report.sharded_load_ms_t2,
-                report.sharded_load_ms_t4,
-                report.sharded_load_ms_t8,
+                report.cold_open_ms,
+                report.warm_open_ms,
             );
             println!(
                 "α sweep ({} points × 3 distances): naive {:.0} ms, factored {:.0} ms — {:.1}× speedup",
@@ -173,82 +170,41 @@ fn main() {
                 }
             }
         }
-        Command::Save { snapshot, shards, threads, layout } => {
+        Command::Save { snapshot, shards, threads } => {
             let bench = Bench::prepare();
             let threads = threads.unwrap_or_else(rightcrowd_core::par::default_threads);
-            match shards {
-                Some(n) => {
-                    match rightcrowd_store::save_sharded_with(
-                        &snapshot,
-                        &bench.ds,
-                        &bench.corpus,
-                        n,
-                        threads,
-                        layout,
-                    ) {
-                        Ok(stats) => println!(
-                            "wrote {} ({} shards + {} byte manifest, {} bytes total in {:.0} ms{})",
-                            snapshot.display(),
-                            stats.shard_count,
-                            stats.manifest_bytes,
-                            stats.bytes,
-                            stats.elapsed_ms,
-                            if layout == rightcrowd_store::SnapshotLayout::Mapped {
-                                ", mapped layout + sidecars"
-                            } else {
-                                ""
-                            },
-                        ),
-                        Err(e) => {
-                            eprintln!("error: cannot save {}: {e}", snapshot.display());
-                            std::process::exit(1);
-                        }
-                    }
+            match rightcrowd_store::save_sharded(&snapshot, &bench.ds, &bench.corpus, shards, threads)
+            {
+                Ok(stats) => println!(
+                    "wrote {} ({} shards + {} byte manifest, {} bytes total in {:.0} ms)",
+                    snapshot.display(),
+                    stats.shard_count,
+                    stats.manifest_bytes,
+                    stats.bytes,
+                    stats.elapsed_ms,
+                ),
+                Err(e) => {
+                    eprintln!("error: cannot save {}: {e}", snapshot.display());
+                    std::process::exit(1);
                 }
-                None => match rightcrowd_store::save(&snapshot, &bench.ds, &bench.corpus) {
-                    Ok(stats) => println!(
-                        "wrote {} ({} bytes in {:.0} ms)",
-                        snapshot.display(),
-                        stats.bytes,
-                        stats.elapsed_ms
-                    ),
-                    Err(e) => {
-                        eprintln!("error: cannot save {}: {e}", snapshot.display());
-                        std::process::exit(1);
-                    }
-                },
             }
         }
         Command::Load { snapshot, threads } => {
-            // Container kind is detected on disk, not declared: the
-            // shared loader routes a manifest-bearing directory through
-            // the sharded path, anything else through the monolithic one.
             let threads = threads.unwrap_or_else(rightcrowd_core::par::default_threads);
             let rss_before = rightcrowd_obs::rss_now_bytes();
             match rightcrowd_bench::runner::load_snapshot(&snapshot, threads) {
                 Ok((ds, corpus, load)) => {
-                    if load.sharded {
-                        println!(
-                            "verified {} ({} shards, {} bytes in {:.0} ms, {} threads{})",
-                            snapshot.display(),
-                            load.shard_count,
-                            load.bytes,
-                            load.elapsed_ms,
-                            threads,
-                            if load.mapped { ", mapped zero-copy" } else { "" },
-                        );
-                    } else {
-                        println!(
-                            "verified {} ({} bytes in {:.0} ms)",
-                            snapshot.display(),
-                            load.bytes,
-                            load.elapsed_ms
-                        );
-                    }
-                    // The RSS delta across the open is the point of the
-                    // mapped layout: borrowed pages are counted only as
-                    // they are touched, so a mapped open should cost a
-                    // fraction of the streamed reconstruction.
+                    println!(
+                        "verified {} ({} shards, {} bytes in {:.0} ms, {} threads, mapped zero-copy)",
+                        snapshot.display(),
+                        load.shard_count,
+                        load.bytes,
+                        load.elapsed_ms,
+                        threads,
+                    );
+                    // The RSS delta across the open shows what the mapped
+                    // shards save: borrowed pages are counted only as they
+                    // are touched.
                     if let (Some(before), Some(after)) =
                         (rss_before, rightcrowd_obs::rss_now_bytes())
                     {
@@ -258,28 +214,25 @@ fn main() {
                             after / 1024
                         );
                     }
-                    // On the mapped layout the full load above verified (or
-                    // re-signed) every sidecar, so re-opening just the index
-                    // shows the steady-state warm cost: a stat + sidecar
-                    // read + mmap per shard, no CRC pass. Best of three
-                    // keeps one scheduler hiccup from skewing the report.
-                    if load.mapped {
-                        let mut best: Option<rightcrowd_store::MappedOpenStats> = None;
-                        for _ in 0..3 {
-                            if let Ok((_, stats)) = rightcrowd_store::open_mapped(&snapshot) {
-                                if best.as_ref().is_none_or(|b| stats.elapsed_ms < b.elapsed_ms)
-                                {
-                                    best = Some(stats);
-                                }
+                    // The full load above verified (or re-signed) every
+                    // sidecar, so re-opening just the index shows the
+                    // steady-state warm cost: a stat + sidecar read + mmap
+                    // per shard, no CRC pass. Best of three keeps one
+                    // scheduler hiccup from skewing the report.
+                    let mut best: Option<rightcrowd_store::MappedOpenStats> = None;
+                    for _ in 0..3 {
+                        if let Ok((_, stats)) = rightcrowd_store::open_mapped(&snapshot) {
+                            if best.as_ref().is_none_or(|b| stats.elapsed_ms < b.elapsed_ms) {
+                                best = Some(stats);
                             }
                         }
-                        if let Some(stats) = best {
-                            println!(
-                                "  warm index open: {:.3} ms ({}, best of 3)",
-                                stats.elapsed_ms,
-                                if stats.warm { "warm" } else { "cold" },
-                            );
-                        }
+                    }
+                    if let Some(stats) = best {
+                        println!(
+                            "  warm index open: {:.3} ms ({}, best of 3)",
+                            stats.elapsed_ms,
+                            if stats.warm { "warm" } else { "cold" },
+                        );
                     }
                     let (persons, profiles, resources, containers) = ds.graph().counts();
                     println!(
@@ -471,14 +424,12 @@ fn main() {
         Command::Serve { snapshot, addr, threads, out } => {
             use std::sync::atomic::Ordering;
 
-            // Warm once: snapshot when it exists (monolithic or sharded,
-            // detected on disk), cold build + cache otherwise — the same
-            // policy every other snapshot-taking subcommand follows.
+            // Warm once: snapshot when it exists, cold build + cache
+            // otherwise — the same policy every other snapshot-taking
+            // subcommand follows.
             let decode_threads = rightcrowd_core::par::default_threads();
             let rss_before = rightcrowd_obs::rss_now_bytes();
-            let (bench, load) = if rightcrowd_store::is_sharded(&snapshot)
-                || snapshot.is_file()
-            {
+            let (bench, load) = if snapshot.exists() {
                 match rightcrowd_bench::runner::load_snapshot(&snapshot, decode_threads) {
                     Ok((ds, corpus, load)) => (
                         Bench { ds, corpus, generate_ms: 0.0, analyze_ms: 0.0 },
@@ -494,22 +445,16 @@ fn main() {
             };
             if let Some(l) = &load {
                 // Startup cost report: wall time next to the RSS delta the
-                // open actually charged this process — near zero on the
-                // mapped path, where the index stays in borrowed page
-                // cache until queries touch it.
+                // open actually charged this process — small, because the
+                // index stays in borrowed page cache until queries touch it.
                 match (rss_before, rightcrowd_obs::rss_now_bytes()) {
                     (Some(before), Some(after)) => eprintln!(
-                        "[serve] warmed in {:.0} ms ({}): rss delta {:+} KiB (now {} KiB)",
+                        "[serve] warmed in {:.0} ms (mapped zero-copy): rss delta {:+} KiB (now {} KiB)",
                         l.elapsed_ms,
-                        if l.mapped { "mapped zero-copy" } else { "streamed" },
                         (after as i64 - before as i64) / 1024,
                         after / 1024
                     ),
-                    _ => eprintln!(
-                        "[serve] warmed in {:.0} ms ({})",
-                        l.elapsed_ms,
-                        if l.mapped { "mapped zero-copy" } else { "streamed" },
-                    ),
+                    _ => eprintln!("[serve] warmed in {:.0} ms (mapped zero-copy)", l.elapsed_ms),
                 }
             }
 
@@ -682,25 +627,15 @@ fn main() {
             // at the end.
             let mut failures: Vec<String> = Vec::new();
 
-            // Snapshot integrity gate: a container that fails its
+            // Snapshot integrity gate: a snapshot that fails its
             // checksums is a regression regardless of the latency diff.
-            // The shared loader routes sharded directories through the
-            // manifest-plus-every-shard path, monolithic files through
-            // the single-container one.
             if let Some(path) = &snapshot {
                 let threads = rightcrowd_core::par::default_threads();
                 match rightcrowd_bench::runner::load_snapshot(path, threads) {
-                    Ok((_, corpus, load)) if load.sharded => println!(
+                    Ok((_, corpus, load)) => println!(
                         "snapshot {} ok: {} shards / {} bytes verified in {:.0} ms ({} retained docs)",
                         path.display(),
                         load.shard_count,
-                        load.bytes,
-                        load.elapsed_ms,
-                        corpus.retained()
-                    ),
-                    Ok((_, corpus, load)) => println!(
-                        "snapshot {} ok: {} bytes verified in {:.0} ms ({} retained docs)",
-                        path.display(),
                         load.bytes,
                         load.elapsed_ms,
                         corpus.retained()

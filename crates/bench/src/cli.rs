@@ -4,6 +4,7 @@
 //! the algorithmic minimum); supports every subcommand of
 //! `src/bin/rc.rs` with long-flag options.
 
+use crate::runner::DEFAULT_SHARDS;
 use rightcrowd_types::{Distance, Platform, PlatformMask};
 
 /// A parsed `rc` invocation.
@@ -30,47 +31,37 @@ pub enum Command {
         /// Distance cap.
         distance: Distance,
     },
-    /// `rc bench [--out DIR] [--snapshot FILE.rcs] [--shards N]` —
-    /// measure the retrieval hot path (cold build *and* the store
-    /// save → load round trip, including the sharded load-scaling curve)
-    /// and write a `BENCH_<scale>.json` snapshot.
+    /// `rc bench [--out DIR] [--snapshot DIR] [--shards N]` — measure
+    /// the retrieval hot path (cold build *and* the store save → open
+    /// round trip) and write a `BENCH_<scale>.json` snapshot.
     Bench {
         /// Directory the JSON snapshot is written into.
         out: std::path::PathBuf,
-        /// Where the measured store container is kept (a temp file is
-        /// used — and removed — when absent). With `--shards` this is a
-        /// sharded-snapshot *directory*.
+        /// Where the measured snapshot directory is kept (a temp
+        /// directory is used — and removed — when absent).
         snapshot: Option<std::path::PathBuf>,
-        /// Shard count for the sharded load-scaling measurement
-        /// (default 4).
-        shards: Option<usize>,
+        /// Shard count of the measured snapshot (default 4).
+        shards: usize,
     },
-    /// `rc save --snapshot FILE.rcs [--shards N] [--threads N]
-    /// [--layout streamed|mapped]` — build the corpus at the selected
-    /// scale and serialise it as a store container (monolithic file, or
-    /// a sharded directory with `--shards`). `--layout mapped` writes
-    /// `RCSHRD02` fixed-layout shards plus validity sidecars, the format
-    /// every consumer opens zero-copy via `mmap(2)`; it implies
-    /// `--shards` (default 4).
+    /// `rc save --snapshot DIR [--shards N] [--threads N]` — build the
+    /// corpus at the selected scale and write it as a snapshot
+    /// directory: a manifest plus `--shards` (default 4) `RCSHRD02`
+    /// shards and their validity sidecars, which every consumer opens
+    /// zero-copy via `mmap(2)`.
     Save {
-        /// Where the container is written (a directory with `--shards`).
+        /// The snapshot directory to write.
         snapshot: std::path::PathBuf,
-        /// Split into this many per-term-range shards instead of one
-        /// monolithic file.
-        shards: Option<usize>,
-        /// Worker threads for the sharded encode.
+        /// Number of per-term-range shards.
+        shards: usize,
+        /// Worker threads for the shard encode.
         threads: Option<usize>,
-        /// Shard encoding: streamed (`RCSHRD01`, the default) or mapped
-        /// (`RCSHRD02` + sidecars, opened zero-copy).
-        layout: rightcrowd_store::SnapshotLayout,
     },
-    /// `rc load --snapshot PATH [--threads N]` — verify + reconstruct a
-    /// store container (monolithic file or sharded directory, detected by
-    /// the manifest) and print what it holds.
+    /// `rc load --snapshot DIR [--threads N]` — verify + open a snapshot
+    /// directory and print what it holds.
     Load {
-        /// The container to load: a `.rcs` file or a sharded directory.
+        /// The snapshot directory to load.
         snapshot: std::path::PathBuf,
-        /// Worker threads for the sharded decode.
+        /// Worker threads for the shard opens.
         threads: Option<usize>,
     },
     /// `rc metrics [--platform P] [--distance D]` — run the workload once
@@ -158,8 +149,8 @@ pub enum Command {
     /// which drains in-flight queries, flushes the wide-event log into
     /// `--out`, and exits 0.
     Serve {
-        /// The container to warm from: a `.rcs` file or a sharded
-        /// directory (cold build + cache when absent).
+        /// The snapshot directory to warm from (cold build + cache when
+        /// absent).
         snapshot: std::path::PathBuf,
         /// Listen address (default 127.0.0.1:7700).
         addr: String,
@@ -286,23 +277,23 @@ rc — expert finding in (simulated) social networks
 
 USAGE:
   rc query \"<expertise need>\" [--top N] [--platform all|fb|tw|li] [--distance 0|1|2]
-  rc explain \"<expertise need>\" [--candidate NAME] [--top K] [--json] [--snapshot FILE.rcs]
+  rc explain \"<expertise need>\" [--candidate NAME] [--top K] [--json] [--snapshot DIR]
                                [--platform all|fb|tw|li] [--distance 0|1|2]
   rc eval [--platform all|fb|tw|li] [--distance 0|1|2]
-  rc bench [--out DIR] [--snapshot PATH] [--shards N]
-  rc save --snapshot PATH [--shards N] [--threads N] [--layout streamed|mapped]
-  rc load --snapshot PATH [--threads N]
-  rc flight [--slowest K] [--capacity N] [--snapshot FILE.rcs] [--platform all|fb|tw|li] [--distance 0|1|2]
-  rc soak [--out DIR] [--snapshot PATH] [--connect HOST:PORT] [--duration 30s] [--queries N]
+  rc bench [--out DIR] [--snapshot DIR] [--shards N]
+  rc save --snapshot DIR [--shards N] [--threads N]
+  rc load --snapshot DIR [--threads N]
+  rc flight [--slowest K] [--capacity N] [--snapshot DIR] [--platform all|fb|tw|li] [--distance 0|1|2]
+  rc soak [--out DIR] [--snapshot DIR] [--connect HOST:PORT] [--duration 30s] [--queries N]
           [--threads N] [--tick-ms MS] [--watch] [--profile]
-  rc serve --snapshot PATH [--addr HOST:PORT] [--threads N] [--out DIR]
+  rc serve --snapshot DIR [--addr HOST:PORT] [--threads N] [--out DIR]
   rc profile bench|soak [--folded PATH] [--svg PATH] [--hz N] [--out DIR]
-             [--snapshot PATH] [--duration 30s] [--threads N]
+             [--snapshot DIR] [--duration 30s] [--threads N]
   rc spans [--json] [--platform all|fb|tw|li] [--distance 0|1|2]
   rc expose [--out FILE.openmetrics] [--check FILE.openmetrics]
   rc trace [--chrome OUT.json] [--check FILE.json]
   rc metrics [--platform all|fb|tw|li] [--distance 0|1|2]
-  rc regress <baseline.json> <current.json> [--threshold F] [--warn-only] [--snapshot FILE.rcs]
+  rc regress <baseline.json> <current.json> [--threshold F] [--warn-only] [--snapshot DIR]
   rc stats
   rc help
 
@@ -341,19 +332,18 @@ PROFILE (in-process sampling profiler):
   wide-event log.
 
 SNAPSHOTS (build once, query many):
-  --snapshot PATH points at a rightcrowd-store container: a monolithic
-  `.rcs` file, or a sharded directory (written by `rc save --shards N`,
-  detected by its `manifest.rcm`). `explain` and `flight` serve from
-  either layout when it exists (and cold-build + cache it when it does
-  not); `bench` measures the save/load round trip against it; `regress`
-  additionally verifies its checksums. Sharded snapshots decode with one
-  CRC pass per byte (and in parallel under `--threads N`), so they load
-  faster than the monolithic container. `rc save --layout mapped` writes
-  fixed-layout shards plus `.rcv` validity sidecars: every consumer
-  auto-detects them and opens zero-copy via mmap(2) — the first open
-  streams one CRC pass to earn the sidecar, every later open verifies
-  the sidecar and maps in microseconds, and the page cache shares one
-  physical copy of the index across processes.
+  --snapshot DIR points at a rightcrowd-store snapshot: a directory
+  holding a `manifest.rcm` plus `--shards N` (default 4) mapped postings
+  shards and their `.rcv` validity sidecars, written by `rc save`.
+  `explain`, `flight`, `soak`, `profile` and `serve` open it when it
+  exists (and cold-build + cache it when it does not); `bench` measures
+  the save/open round trip against it; `regress` additionally verifies
+  its checksums. Every open maps the shards zero-copy via mmap(2): the
+  first open streams one CRC pass per file to earn its sidecar, later
+  opens verify the sidecar and map in microseconds, and the page cache
+  shares one physical copy of the index across processes. A regular
+  file (a retired single-file snapshot) is refused; re-save it with
+  `rc save`.
 
 GLOBAL OPTIONS:
   --scale tiny|small|paper   dataset scale (overrides RIGHTCROWD_SCALE)
@@ -426,7 +416,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
     let mut snapshot: Option<std::path::PathBuf> = None;
     let mut shards: Option<usize> = None;
     let mut threads: Option<usize> = None;
-    let mut layout: Option<rightcrowd_store::SnapshotLayout> = None;
     let mut out_given = false;
     let mut duration_ms = 30_000u64;
     let mut queries: Option<u64> = None;
@@ -491,20 +480,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
                     return Err(ParseError("--shards must be at least 1".into()));
                 }
                 shards = Some(n);
-            }
-            "--layout" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| ParseError("--layout needs streamed|mapped".into()))?;
-                layout = Some(match value.as_str() {
-                    "streamed" => rightcrowd_store::SnapshotLayout::Streamed,
-                    "mapped" => rightcrowd_store::SnapshotLayout::Mapped,
-                    other => {
-                        return Err(ParseError(format!(
-                            "unknown layout {other:?} (use streamed|mapped)"
-                        )))
-                    }
-                });
             }
             "--threads" => {
                 let value = iter
@@ -662,23 +637,12 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
         }
         "stats" => Command::Stats,
         "eval" => Command::Eval { platforms, distance },
-        "bench" => Command::Bench { out, snapshot, shards },
-        "save" => {
-            let layout = layout.unwrap_or_default();
-            // The mapped layout only exists sharded: without an explicit
-            // count it gets the same default the bench harness measures.
-            let shards = match (layout, shards) {
-                (rightcrowd_store::SnapshotLayout::Mapped, None) => Some(4),
-                (_, shards) => shards,
-            };
-            Command::Save {
-                snapshot: snapshot
-                    .ok_or_else(|| ParseError("save needs --snapshot <path>".into()))?,
-                shards,
-                threads,
-                layout,
-            }
-        }
+        "bench" => Command::Bench { out, snapshot, shards: shards.unwrap_or(DEFAULT_SHARDS) },
+        "save" => Command::Save {
+            snapshot: snapshot.ok_or_else(|| ParseError("save needs --snapshot <path>".into()))?,
+            shards: shards.unwrap_or(DEFAULT_SHARDS),
+            threads,
+        },
         "load" => Command::Load {
             snapshot: snapshot
                 .ok_or_else(|| ParseError("load needs --snapshot <path>".into()))?,
@@ -836,14 +800,14 @@ mod tests {
     fn parses_bench() {
         assert_eq!(
             cmd(&["bench"]),
-            Command::Bench { out: std::path::PathBuf::from("."), snapshot: None, shards: None }
+            Command::Bench { out: std::path::PathBuf::from("."), snapshot: None, shards: 4 }
         );
         assert_eq!(
-            cmd(&["bench", "--out", "target/perf", "--snapshot", "target/perf/corpus.rcs"]),
+            cmd(&["bench", "--out", "target/perf", "--snapshot", "target/perf/corpus.snap"]),
             Command::Bench {
                 out: std::path::PathBuf::from("target/perf"),
-                snapshot: Some(std::path::PathBuf::from("target/perf/corpus.rcs")),
-                shards: None,
+                snapshot: Some(std::path::PathBuf::from("target/perf/corpus.snap")),
+                shards: 4,
             }
         );
         assert_eq!(
@@ -851,7 +815,7 @@ mod tests {
             Command::Bench {
                 out: std::path::PathBuf::from("."),
                 snapshot: Some(std::path::PathBuf::from("target/perf/corpus.shards")),
-                shards: Some(4),
+                shards: 4,
             }
         );
         assert!(parse(&args(&["bench", "--out"])).is_err());
@@ -861,48 +825,29 @@ mod tests {
 
     #[test]
     fn parses_save_and_load() {
+        // A snapshot is always a directory of shards; the default count is
+        // the one the bench harness measures.
         assert_eq!(
-            cmd(&["save", "--snapshot", "corpus.rcs"]),
+            cmd(&["save", "--snapshot", "corpus.snap"]),
             Command::Save {
-                snapshot: std::path::PathBuf::from("corpus.rcs"),
-                shards: None,
+                snapshot: std::path::PathBuf::from("corpus.snap"),
+                shards: 4,
                 threads: None,
-                layout: rightcrowd_store::SnapshotLayout::Streamed,
             }
         );
         assert_eq!(
             cmd(&["save", "--snapshot", "corpus.shards", "--shards", "8", "--threads", "2"]),
             Command::Save {
                 snapshot: std::path::PathBuf::from("corpus.shards"),
-                shards: Some(8),
+                shards: 8,
                 threads: Some(2),
-                layout: rightcrowd_store::SnapshotLayout::Streamed,
             }
         );
-        // The mapped layout only exists sharded: bare --layout mapped
-        // implies the default shard count.
+        // The retired layout switch is an unknown option now.
+        assert!(parse(&args(&["save", "--snapshot", "x", "--layout", "mapped"])).is_err());
         assert_eq!(
-            cmd(&["save", "--snapshot", "corpus.shards", "--layout", "mapped"]),
-            Command::Save {
-                snapshot: std::path::PathBuf::from("corpus.shards"),
-                shards: Some(4),
-                threads: None,
-                layout: rightcrowd_store::SnapshotLayout::Mapped,
-            }
-        );
-        assert_eq!(
-            cmd(&["save", "--snapshot", "c", "--shards", "2", "--layout", "streamed"]),
-            Command::Save {
-                snapshot: std::path::PathBuf::from("c"),
-                shards: Some(2),
-                threads: None,
-                layout: rightcrowd_store::SnapshotLayout::Streamed,
-            }
-        );
-        assert!(parse(&args(&["save", "--snapshot", "x", "--layout", "zerocopy"])).is_err());
-        assert_eq!(
-            cmd(&["load", "--snapshot", "corpus.rcs"]),
-            Command::Load { snapshot: std::path::PathBuf::from("corpus.rcs"), threads: None }
+            cmd(&["load", "--snapshot", "corpus.snap"]),
+            Command::Load { snapshot: std::path::PathBuf::from("corpus.snap"), threads: None }
         );
         assert_eq!(
             cmd(&["load", "--snapshot", "corpus.shards", "--threads", "4"]),
@@ -950,7 +895,7 @@ mod tests {
         assert_eq!(
             cmd(&[
                 "explain", "swimming", "--candidate", "Riley", "--top", "2", "--json",
-                "--platform", "tw", "--distance", "1", "--snapshot", "c.rcs"
+                "--platform", "tw", "--distance", "1", "--snapshot", "c.snap"
             ]),
             Command::Explain {
                 text: "swimming".into(),
@@ -959,7 +904,7 @@ mod tests {
                 json: true,
                 platforms: PlatformMask::only(Platform::Twitter),
                 distance: Distance::D1,
-                snapshot: Some(std::path::PathBuf::from("c.rcs")),
+                snapshot: Some(std::path::PathBuf::from("c.snap")),
             }
         );
         assert!(parse(&args(&["explain"])).is_err());
@@ -981,14 +926,14 @@ mod tests {
         assert_eq!(
             cmd(&[
                 "flight", "--slowest", "5", "--capacity", "1024", "--platform", "fb",
-                "--snapshot", "c.rcs"
+                "--snapshot", "c.snap"
             ]),
             Command::Flight {
                 slowest: Some(5),
                 capacity: Some(1024),
                 platforms: PlatformMask::only(Platform::Facebook),
                 distance: Distance::D2,
-                snapshot: Some(std::path::PathBuf::from("c.rcs")),
+                snapshot: Some(std::path::PathBuf::from("c.snap")),
             }
         );
         assert!(parse(&args(&["flight", "--slowest", "0"])).is_err());
@@ -1055,7 +1000,7 @@ mod tests {
         );
         // The daemon owns the snapshot; pointing the client at another
         // one would measure an incoherent pair.
-        assert!(parse(&args(&["soak", "--connect", "h:1", "--snapshot", "c.rcs"])).is_err());
+        assert!(parse(&args(&["soak", "--connect", "h:1", "--snapshot", "c.snap"])).is_err());
         assert!(parse(&args(&["soak", "--connect"])).is_err());
     }
 
@@ -1072,19 +1017,19 @@ mod tests {
         );
         assert_eq!(
             cmd(&[
-                "serve", "--snapshot", "c.rcs", "--addr", "0.0.0.0:8080", "--threads", "4",
+                "serve", "--snapshot", "c.snap", "--addr", "0.0.0.0:8080", "--threads", "4",
                 "--out", "artifacts"
             ]),
             Command::Serve {
-                snapshot: std::path::PathBuf::from("c.rcs"),
+                snapshot: std::path::PathBuf::from("c.snap"),
                 addr: "0.0.0.0:8080".into(),
                 threads: Some(4),
                 out: std::path::PathBuf::from("artifacts"),
             }
         );
         assert!(parse(&args(&["serve"])).is_err());
-        assert!(parse(&args(&["serve", "--snapshot", "c.rcs", "--addr"])).is_err());
-        assert!(parse(&args(&["serve", "--snapshot", "c.rcs", "--threads", "0"])).is_err());
+        assert!(parse(&args(&["serve", "--snapshot", "c.snap", "--addr"])).is_err());
+        assert!(parse(&args(&["serve", "--snapshot", "c.snap", "--threads", "0"])).is_err());
     }
 
     #[test]
@@ -1230,14 +1175,14 @@ mod tests {
         assert_eq!(
             cmd(&[
                 "regress", "a.json", "b.json", "--threshold", "0.5", "--warn-only",
-                "--snapshot", "corpus.rcs"
+                "--snapshot", "corpus.snap"
             ]),
             Command::Regress {
                 baseline: std::path::PathBuf::from("a.json"),
                 current: std::path::PathBuf::from("b.json"),
                 threshold: 0.5,
                 warn_only: true,
-                snapshot: Some(std::path::PathBuf::from("corpus.rcs")),
+                snapshot: Some(std::path::PathBuf::from("corpus.snap")),
             }
         );
         assert!(parse(&args(&["regress", "only-one.json"])).is_err());

@@ -35,14 +35,13 @@
 //! `rc flight` tails the flight recorder, and `rc trace --chrome` exports
 //! spans + flight records as Chrome trace-event JSON.
 //!
-//! Since the `rightcrowd-store` snapshot layer landed, `rc save` /
-//! `rc load` serialise and verify the built corpus as an on-disk
-//! container, `--snapshot FILE.rcs` serves `rc explain` / `rc flight`
-//! from such a container (cold-building and caching it when absent),
-//! `rc bench` measures — and records in the JSON snapshot as
-//! `cold_build_ms` / `snapshot_load_ms` / `snapshot_bytes` — the save →
-//! load round trip, and `rc regress` gates on those keys plus the
-//! container's integrity.
+//! `rc save` / `rc load` write and verify the built corpus as an on-disk
+//! snapshot directory (`rightcrowd-store`), `--snapshot DIR` serves
+//! `rc explain` / `rc flight` / `rc serve` from one (cold-building and
+//! caching it when absent), `rc bench` measures — and records in the JSON
+//! snapshot as `cold_build_ms` / `snapshot_load_ms` / `snapshot_bytes` —
+//! the save → open round trip, and `rc regress` gates on those keys plus
+//! the snapshot's integrity.
 //!
 //! The dataset scale is selected with the `RIGHTCROWD_SCALE` environment
 //! variable (or `rc --scale`): `tiny`, `small` (default) or `paper` (the

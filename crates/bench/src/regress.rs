@@ -347,10 +347,6 @@ pub const LATENCY_KEYS: &[&str] = &[
     "analyze_ms",
     "cold_build_ms",
     "snapshot_load_ms",
-    "sharded_load_ms_t1",
-    "sharded_load_ms_t2",
-    "sharded_load_ms_t4",
-    "sharded_load_ms_t8",
     "warm_open_ms",
     "cold_open_ms",
     "query_p50_ms",
@@ -361,10 +357,10 @@ pub const LATENCY_KEYS: &[&str] = &[
 
 /// The snapshot-size keys, gated with the same relative-threshold policy
 /// as the latency keys (the encoder is deterministic, so unexplained
-/// growth is a format or content change, not noise). `postings_bytes` and
-/// `manifest_bytes` keep the block-compression win from silently eroding.
-pub const SIZE_KEYS: &[&str] =
-    &["snapshot_bytes", "postings_bytes", "manifest_bytes", "mapped_bytes"];
+/// growth is a format or content change, not noise). `mapped_bytes` (the
+/// shard files, i.e. the packed postings) and `manifest_bytes` keep the
+/// compression wins from silently eroding.
+pub const SIZE_KEYS: &[&str] = &["snapshot_bytes", "manifest_bytes", "mapped_bytes"];
 
 /// The under-load latency keys written by `rc soak`: closed-loop p50/p99
 /// at each rung of the thread ladder. Gated like [`LATENCY_KEYS`] but
@@ -445,18 +441,9 @@ pub const PROFILE_OVERHEAD_MAX: f64 = 0.03;
 /// points) flags a MaxScore accounting or bound-quality change.
 const ADMISSION_DRIFT_SLACK: f64 = 0.05;
 
-/// Below this mean shard size, per-file fixed costs (open, buffer setup,
-/// one verification pass per file) dominate the parallel sharded load:
-/// the thread curve flattens and `sharded_load_ms_t8` moves with
-/// scheduler noise rather than real work. The t8 key then gates at twice
-/// the relative threshold (see [`RegressReport::compare`]). The bench
-/// report labels this condition explicitly (`sharded_load_copy_bound`);
-/// the constant doubles as that label's definition.
-pub const SMALL_SHARD_BYTES: f64 = 4.0 * 1024.0 * 1024.0;
-
-/// The warm-open contract of the mapped snapshot layout: a sidecar-
-/// attested `open_mapped` must be at least this many times faster than
-/// the single-threaded streamed sharded load of the same snapshot. The
+/// The warm-open contract: a sidecar-attested `open_mapped` must be at
+/// least this many times faster than the cold (fully verifying) open of
+/// the same snapshot — the alternative the sidecars exist to skip. The
 /// warm path maps files and checks layouts without streaming a byte, so
 /// anything below two orders of magnitude means verification snuck back
 /// onto the hot path.
@@ -593,60 +580,30 @@ pub fn counter_checks(baseline: &Json, current: &Json) -> Vec<CounterCheck> {
     checks
 }
 
-/// The sharded-load speedup invariant, checked per snapshot that records
-/// both loads: a 4-thread sharded load must beat the monolithic load of
-/// the same corpus. The sharded path verifies every byte once (the
-/// manifest carries each shard's whole-file digest) where the monolithic
-/// path verifies twice (per-section and whole-file), so this holds even
-/// on a single core; losing it means the shard fan-out went sequentially
-/// slow or the single-pass verification regressed. Snapshots that predate
-/// sharding skip the check, like missing latency keys.
-pub fn sharded_speedup_checks(baseline: &Json, current: &Json) -> Vec<CounterCheck> {
-    let mut checks = Vec::new();
-    for (label, snap) in [("baseline", baseline), ("current", current)] {
-        let (Some(mono), Some(sharded)) = (
-            snap.get("snapshot_load_ms").and_then(Json::as_f64),
-            snap.get("sharded_load_ms_t4").and_then(Json::as_f64),
-        ) else {
-            continue;
-        };
-        checks.push(CounterCheck {
-            name: "sharded_load_speedup",
-            detail: format!(
-                "{label}: sharded t4 {sharded:.3} ms vs monolithic {mono:.3} ms ({:.2}×)",
-                if sharded > 0.0 { mono / sharded } else { f64::INFINITY }
-            ),
-            failed: sharded >= mono,
-        });
-    }
-    checks
-}
-
 /// The warm-open speedup invariant, checked per snapshot that records
-/// both `warm_open_ms` and `sharded_load_ms_t1`: a sidecar-attested
-/// mapped open must be at least [`WARM_OPEN_MIN_SPEEDUP`]× faster than
-/// the single-threaded streamed load of the same snapshot. Absolute per
-/// snapshot, like the overhead budgets; snapshots that predate the
-/// mapped layout skip it.
+/// both `warm_open_ms` and `cold_open_ms`: a sidecar-attested open must
+/// be at least [`WARM_OPEN_MIN_SPEEDUP`]× faster than the cold open of
+/// the same snapshot. Absolute per snapshot, like the overhead budgets;
+/// snapshots that predate the mapped layout skip it.
 pub fn warm_open_checks(baseline: &Json, current: &Json) -> Vec<CounterCheck> {
     let mut checks = Vec::new();
     for (label, snap) in [("baseline", baseline), ("current", current)] {
-        let (Some(warm), Some(streamed)) = (
+        let (Some(warm), Some(cold)) = (
             snap.get("warm_open_ms").and_then(Json::as_f64),
-            snap.get("sharded_load_ms_t1").and_then(Json::as_f64),
+            snap.get("cold_open_ms").and_then(Json::as_f64),
         ) else {
             continue;
         };
         checks.push(CounterCheck {
             name: "warm_open_speedup",
             detail: format!(
-                "{label}: warm open {warm:.3} ms vs streamed t1 {streamed:.3} ms ({:.0}×, need \
+                "{label}: warm open {warm:.3} ms vs cold open {cold:.3} ms ({:.0}×, need \
                  ≥{WARM_OPEN_MIN_SPEEDUP:.0}×)",
-                if warm > 0.0 { streamed / warm } else { f64::INFINITY }
+                if warm > 0.0 { cold / warm } else { f64::INFINITY }
             ),
             // Written so NaN (incomparable) fails rather than passes.
             failed: (warm * WARM_OPEN_MIN_SPEEDUP)
-                .partial_cmp(&streamed)
+                .partial_cmp(&cold)
                 .is_none_or(|ord| ord == std::cmp::Ordering::Greater),
         });
     }
@@ -788,7 +745,7 @@ pub struct RegressReport {
     pub deltas: Vec<KeyDelta>,
     /// Counter-invariant verdicts (empty when the snapshots predate the
     /// traversal counters). See [`counter_checks`] and
-    /// [`sharded_speedup_checks`].
+    /// [`warm_open_checks`].
     pub counters: Vec<CounterCheck>,
     /// Non-fatal advisories (e.g. a dirty-tree baseline): printed by
     /// [`RegressReport::render`], never part of the verdict.
@@ -807,21 +764,6 @@ impl RegressReport {
     /// Compares two parsed snapshots.
     pub fn compare(baseline: &Json, current: &Json, threshold: f64) -> Self {
         let mut deltas = Vec::new();
-        // When the current run's shards average under `SMALL_SHARD_BYTES`,
-        // the t8 load is fixed-cost bound (the scaling curve is flat by
-        // construction) and its timing is mostly scheduler noise: gate it
-        // at double the threshold instead of dropping it entirely. The
-        // bench report labels this condition (`sharded_load_copy_bound`);
-        // the label scopes the softened slack exactly — when present it
-        // is authoritative, and only snapshots that predate it fall back
-        // to inferring from `bytes_per_shard`.
-        let small_shards = match current.get("sharded_load_copy_bound") {
-            Some(Json::Bool(copy_bound)) => *copy_bound,
-            _ => current
-                .get("bytes_per_shard")
-                .and_then(Json::as_f64)
-                .is_some_and(|b| b < SMALL_SHARD_BYTES),
-        };
         for &key in LATENCY_KEYS {
             let (Some(b), Some(c)) = (
                 baseline.get(key).and_then(Json::as_f64),
@@ -829,13 +771,8 @@ impl RegressReport {
             ) else {
                 continue;
             };
-            let key_threshold = if key == "sharded_load_ms_t8" && small_shards {
-                threshold * 2.0
-            } else {
-                threshold
-            };
             let ratio = if b > 0.0 { (c - b) / b } else { 0.0 };
-            let regressed = ratio > key_threshold && (c - b) > ABS_SLACK_MS;
+            let regressed = ratio > threshold && (c - b) > ABS_SLACK_MS;
             deltas.push(KeyDelta { key, baseline: b, current: c, ratio, regressed });
         }
         for &key in UNDER_LOAD_LATENCY_KEYS.iter().chain(SERVE_UNDER_LOAD_LATENCY_KEYS) {
@@ -881,7 +818,6 @@ impl RegressReport {
             deltas.push(KeyDelta { key: "rss_peak_bytes", baseline: b, current: c, ratio, regressed });
         }
         let mut counters = counter_checks(baseline, current);
-        counters.extend(sharded_speedup_checks(baseline, current));
         counters.extend(warm_open_checks(baseline, current));
         counters.extend(soak_overhead_checks(baseline, current));
         counters.extend(profile_overhead_checks(baseline, current));
@@ -890,13 +826,6 @@ impl RegressReport {
             .filter(|c| c.failed)
             .map(|c| format!("{} out of bounds (advisory, not gated): {}", c.name, c.detail))
             .collect();
-        if small_shards {
-            warnings.push(
-                "shards average under 4 MiB (bytes_per_shard): per-file fixed costs flatten \
-                 the load-scaling curve, so sharded_load_ms_t8 gates at 2x the threshold"
-                    .to_owned(),
-            );
-        }
         if baseline.get("git_dirty") == Some(&Json::Bool(true)) {
             warnings.push(
                 "baseline was measured on a dirty work tree (git_dirty: true); its numbers are \
@@ -1083,16 +1012,8 @@ mod tests {
             cold_build_ms: 910.0,
             snapshot_load_ms: 45.0,
             snapshot_bytes: 987_654,
-            postings_bytes: 123_456,
-            compression_ratio: 1.5,
             shard_count: 4,
             manifest_bytes: 4_096,
-            bytes_per_shard: 200_000,
-            sharded_load_ms_t1: 40.0,
-            sharded_load_ms_t2: 28.0,
-            sharded_load_ms_t4: 20.0,
-            sharded_load_ms_t8: 19.0,
-            sharded_load_copy_bound: true,
             warm_open_ms: 0.2,
             cold_open_ms: 35.0,
             mapped_bytes: 800_000,
@@ -1116,12 +1037,8 @@ mod tests {
         assert_eq!(doc.get("git_dirty"), Some(&Json::Bool(false)));
         assert_eq!(doc.get("snapshot_load_ms").and_then(Json::as_f64), Some(45.0));
         assert_eq!(doc.get("shard_count").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(doc.get("sharded_load_ms_t4").and_then(Json::as_f64), Some(20.0));
         assert_eq!(doc.get("snapshot_bytes").and_then(Json::as_f64), Some(987_654.0));
-        assert_eq!(doc.get("postings_bytes").and_then(Json::as_f64), Some(123_456.0));
-        assert_eq!(doc.get("compression_ratio").and_then(Json::as_f64), Some(1.5));
-        assert_eq!(doc.get("bytes_per_shard").and_then(Json::as_f64), Some(200_000.0));
-        assert_eq!(doc.get("sharded_load_copy_bound"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("manifest_bytes").and_then(Json::as_f64), Some(4_096.0));
         assert_eq!(doc.get("warm_open_ms").and_then(Json::as_f64), Some(0.2));
         assert_eq!(doc.get("cold_open_ms").and_then(Json::as_f64), Some(35.0));
         assert_eq!(doc.get("mapped_bytes").and_then(Json::as_f64), Some(800_000.0));
@@ -1137,8 +1054,6 @@ mod tests {
         parse_json(&format!(
             r#"{{"generate_ms": 10.0, "analyze_ms": 1000.0, "cold_build_ms": 1010.0,
                 "snapshot_load_ms": 50.0, "snapshot_bytes": {bytes},
-                "sharded_load_ms_t1": 40.0, "sharded_load_ms_t2": 28.0,
-                "sharded_load_ms_t4": 20.0, "sharded_load_ms_t8": 19.0,
                 "warm_open_ms": 0.2, "cold_open_ms": 35.0,
                 "query_p50_ms": {p50},
                 "query_p99_ms": {p99}, "alpha_sweep_naive_ms": 300.0,
@@ -1618,7 +1533,8 @@ mod tests {
         let failed: Vec<_> = r.counters.iter().filter(|c| c.failed).collect();
         assert!(failed.iter().all(|c| c.name == "block_max_skips"), "{:?}", failed);
         assert!(!failed.is_empty());
-        // A blocks-off run (blocks_total == 0) skips the gate entirely.
+        // A run that traversed no blocks (blocks_total == 0) skips the
+        // gate entirely.
         let flat = block_snap(1000, 300, 500, 0, 0, 0, 0);
         let r = RegressReport::compare(&flat, &flat, 0.2);
         assert!(!r.any_regressed(), "{}", r.render());
@@ -1626,75 +1542,15 @@ mod tests {
     }
 
     #[test]
-    fn small_shards_soften_the_t8_gate() {
-        // +30% on t8: over the 20% threshold but under the doubled one.
-        let mut base = snap(1.0, 2.0);
-        let mut curr = snap(1.0, 2.0);
-        for (json, t8) in [(&mut base, 19.0), (&mut curr, 24.7)] {
-            if let Json::Obj(m) = json {
-                m.insert("sharded_load_ms_t8".into(), Json::Num(t8));
-                m.insert("bytes_per_shard".into(), Json::Num(3.0 * 1024.0 * 1024.0));
-            }
-        }
-        let r = RegressReport::compare(&base, &curr, 0.2);
-        assert!(!r.any_regressed(), "{}", r.render());
-        assert!(r.warnings.iter().any(|w| w.contains("bytes_per_shard")), "{:?}", r.warnings);
-        // Large shards (or a snapshot without the key) keep the full gate.
-        if let Json::Obj(m) = &mut curr {
-            m.insert("bytes_per_shard".into(), Json::Num(64.0 * 1024.0 * 1024.0));
-        }
-        let r = RegressReport::compare(&base, &curr, 0.2);
-        assert!(r.deltas.iter().any(|d| d.key == "sharded_load_ms_t8" && d.regressed));
-        // …but the doubled slack is not unconditional: +120% still fails.
-        if let Json::Obj(m) = &mut curr {
-            m.insert("sharded_load_ms_t8".into(), Json::Num(42.0));
-            m.insert("bytes_per_shard".into(), Json::Num(3.0 * 1024.0 * 1024.0));
-        }
-        let r = RegressReport::compare(&base, &curr, 0.2);
-        assert!(r.deltas.iter().any(|d| d.key == "sharded_load_ms_t8" && d.regressed));
-    }
-
-    #[test]
-    fn copy_bound_label_scopes_the_softened_t8_slack() {
-        // +30% on t8, shards under the floor — but the report says the
-        // run was NOT copy-bound: the explicit label is authoritative, so
-        // the full gate applies and the key fails.
-        let mut base = snap(1.0, 2.0);
-        let mut curr = snap(1.0, 2.0);
-        for (json, t8) in [(&mut base, 19.0), (&mut curr, 24.7)] {
-            if let Json::Obj(m) = json {
-                m.insert("sharded_load_ms_t8".into(), Json::Num(t8));
-                m.insert("bytes_per_shard".into(), Json::Num(3.0 * 1024.0 * 1024.0));
-                m.insert("sharded_load_copy_bound".into(), Json::Bool(false));
-            }
-        }
-        let r = RegressReport::compare(&base, &curr, 0.2);
-        assert!(
-            r.deltas.iter().any(|d| d.key == "sharded_load_ms_t8" && d.regressed),
-            "{}",
-            r.render()
-        );
-        // Labelled copy-bound: the doubled slack applies even when the
-        // (stale or absent) bytes_per_shard key would say otherwise.
-        for json in [&mut base, &mut curr] {
-            if let Json::Obj(m) = json {
-                m.insert("bytes_per_shard".into(), Json::Num(64.0 * 1024.0 * 1024.0));
-                m.insert("sharded_load_copy_bound".into(), Json::Bool(true));
-            }
-        }
-        let r = RegressReport::compare(&base, &curr, 0.2);
-        assert!(!r.any_regressed(), "{}", r.render());
-    }
-
-    #[test]
     fn warm_open_speedup_gate() {
-        // snap() records warm 0.2 ms vs streamed t1 40 ms: 200×, passes.
+        // snap() records warm 0.2 ms vs cold 35 ms: 175×, passes.
         let r = RegressReport::compare(&snap(1.0, 2.0), &snap(1.0, 2.0), 0.2);
         let checks: Vec<_> = r.counters.iter().filter(|c| c.name == "warm_open_speedup").collect();
         assert_eq!(checks.len(), 2, "one verdict per snapshot");
         assert!(checks.iter().all(|c| !c.failed));
         assert!(r.render().contains("warm_open_speedup"));
-        // A warm open that lost two orders of magnitude fails its snapshot.
+        // A warm open within two orders of magnitude of the cold one
+        // fails its snapshot (35×).
         let mut curr = snap(1.0, 2.0);
         if let Json::Obj(m) = &mut curr {
             m.insert("warm_open_ms".into(), Json::Num(1.0));
@@ -1705,22 +1561,27 @@ mod tests {
         assert_eq!(failed.len(), 1);
         assert!(failed[0].detail.contains("current"), "{}", failed[0].detail);
         assert!(r.any_regressed());
+        // NaN (an incomparable reading) fails rather than passes.
+        let mut nan = snap(1.0, 2.0);
+        if let Json::Obj(m) = &mut nan {
+            m.insert("cold_open_ms".into(), Json::Num(f64::NAN));
+        }
+        let r = RegressReport::compare(&snap(1.0, 2.0), &nan, 0.2);
+        assert!(r.counters.iter().any(|c| c.name == "warm_open_speedup" && c.failed));
         // Snapshots that predate the mapped layout skip the gate.
-        let old = parse_json(r#"{"sharded_load_ms_t1": 40.0}"#).unwrap();
+        let old = parse_json(r#"{"snapshot_load_ms": 40.0}"#).unwrap();
         let r = RegressReport::compare(&old, &old, 0.2);
         assert!(r.counters.iter().all(|c| c.name != "warm_open_speedup"));
     }
 
     #[test]
-    fn postings_and_manifest_sizes_are_gated() {
-        let sized = |postings: u64, manifest: u64| {
-            parse_json(&format!(
-                r#"{{"postings_bytes": {postings}, "manifest_bytes": {manifest}}}"#
-            ))
-            .unwrap()
+    fn mapped_and_manifest_sizes_are_gated() {
+        let sized = |mapped: u64, manifest: u64| {
+            parse_json(&format!(r#"{{"mapped_bytes": {mapped}, "manifest_bytes": {manifest}}}"#))
+                .unwrap()
         };
         let r = RegressReport::compare(&sized(1_000_000, 500_000), &sized(1_400_000, 500_000), 0.2);
-        assert!(r.deltas.iter().any(|d| d.key == "postings_bytes" && d.regressed));
+        assert!(r.deltas.iter().any(|d| d.key == "mapped_bytes" && d.regressed));
         let r = RegressReport::compare(&sized(1_000_000, 500_000), &sized(1_000_000, 900_000), 0.2);
         assert!(r.deltas.iter().any(|d| d.key == "manifest_bytes" && d.regressed));
         let r = RegressReport::compare(&sized(1_000_000, 500_000), &sized(900_000, 400_000), 0.2);
@@ -1731,8 +1592,8 @@ mod tests {
     fn snapshots_without_counters_skip_the_checks() {
         // Pre-observability snapshots carry no metrics block: no traversal
         // checks, no failure — mirroring the missing-latency-key
-        // behaviour. (The sharded speedup gate still runs; it keys on the
-        // load timings, not the metrics block.)
+        // behaviour. (The warm-open gate still runs; it keys on the open
+        // timings, not the metrics block.)
         let traversal =
             |c: &&CounterCheck| c.name == "maxscore_accounting" || c.name == "admission_ratio_drift";
         let r = RegressReport::compare(&snap(1.0, 2.0), &snap(1.0, 2.0), 0.2);
@@ -1742,51 +1603,6 @@ mod tests {
         let checks: Vec<_> = r.counters.iter().filter(traversal).collect();
         assert_eq!(checks.len(), 1);
         assert_eq!(checks[0].name, "maxscore_accounting");
-    }
-
-    /// A minimal snapshot carrying only the two load timings the sharded
-    /// speedup gate compares.
-    fn load_snap(mono_ms: f64, sharded_t4_ms: f64) -> Json {
-        parse_json(&format!(
-            r#"{{"snapshot_load_ms": {mono_ms}, "sharded_load_ms_t4": {sharded_t4_ms}}}"#
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn sharded_speedup_holds_when_sharded_is_faster() {
-        let r = RegressReport::compare(&load_snap(50.0, 30.0), &load_snap(50.0, 28.0), 0.2);
-        let checks: Vec<_> =
-            r.counters.iter().filter(|c| c.name == "sharded_load_speedup").collect();
-        assert_eq!(checks.len(), 2, "one verdict per snapshot");
-        assert!(!r.any_regressed());
-        assert!(r.render().contains("sharded_load_speedup"));
-    }
-
-    #[test]
-    fn sharded_slower_than_monolithic_fails() {
-        // The current run's 4-thread sharded load lost to the monolithic
-        // load: the whole point of the sharded path regressed.
-        let r = RegressReport::compare(&load_snap(50.0, 30.0), &load_snap(50.0, 55.0), 0.2);
-        assert!(r.any_regressed());
-        let failed = r.counters.iter().find(|c| c.failed).unwrap();
-        assert_eq!(failed.name, "sharded_load_speedup");
-        assert!(failed.detail.contains("current"), "{}", failed.detail);
-        assert!(r.render().contains("VIOLATED"));
-    }
-
-    #[test]
-    fn pre_sharding_snapshots_skip_the_speedup_gate() {
-        // A monolithic-only snapshot (no sharded keys): no verdicts.
-        let old = parse_json(r#"{"snapshot_load_ms": 50.0, "query_p50_ms": 1.0}"#).unwrap();
-        let r = RegressReport::compare(&old, &old, 0.2);
-        assert!(r.counters.iter().all(|c| c.name != "sharded_load_speedup"));
-        // One-sided: only the snapshot that records both timings is gated.
-        let r = RegressReport::compare(&old, &load_snap(50.0, 20.0), 0.2);
-        assert_eq!(
-            r.counters.iter().filter(|c| c.name == "sharded_load_speedup").count(),
-            1
-        );
     }
 
     #[test]

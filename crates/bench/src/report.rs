@@ -18,9 +18,9 @@ use rightcrowd_core::ranker::rank_query;
 use std::time::Instant;
 
 /// Repetitions per load measurement; the minimum is recorded. A single
-/// ~100 ms load sample carries several ms of scheduler and page-cache
-/// jitter — enough to flip the `sharded_load_speedup` regression gate on
-/// an otherwise healthy build — while the floor over a few runs is stable.
+/// ~50 ms load sample carries several ms of scheduler and page-cache
+/// jitter — enough to flip a ±20% regression gate on an otherwise
+/// healthy build — while the floor over a few runs is stable.
 const LOAD_REPS: usize = 3;
 
 /// One performance snapshot, serialised to `BENCH_<scale>.json`.
@@ -44,57 +44,28 @@ pub struct BenchReport {
     pub analyze_ms: f64,
     /// `generate_ms + analyze_ms`: what a snapshot load avoids.
     pub cold_build_ms: f64,
-    /// Store-container load (read + verify + reconstruct) wall-clock,
-    /// milliseconds. The serving contract (ISSUE 4) wants this ≥10×
-    /// faster than `cold_build_ms`.
+    /// Full snapshot open (`load_sharded`: manifest read + verify +
+    /// study decode + every shard mapped) wall-clock, milliseconds — the
+    /// open every `--snapshot` consumer pays. Minimum over
+    /// [`LOAD_REPS`]. The serving contract wants this ≥10× faster than
+    /// `cold_build_ms`.
     pub snapshot_load_ms: f64,
-    /// Store-container size, bytes.
+    /// Snapshot size on disk (manifest plus every shard), bytes.
     pub snapshot_bytes: u64,
-    /// On-disk payload bytes of the two posting-list sections in the
-    /// monolithic snapshot (block-compressed by default; flat CSR under
-    /// `blocks-off`).
-    pub postings_bytes: u64,
-    /// Flat-CSR postings encoding size ÷ `postings_bytes`: how much the
-    /// block-compressed layout undercuts the uncompressed reference
-    /// (1.0 under `blocks-off`, where the reference *is* the layout).
-    pub compression_ratio: f64,
-    /// Shard count of the sharded round trip measured below.
+    /// Shard count of the measured snapshot.
     pub shard_count: usize,
-    /// Sharded-snapshot manifest size, bytes.
+    /// Manifest size, bytes.
     pub manifest_bytes: u64,
-    /// Mean shard-file size, bytes: `(total − manifest) / shard_count`.
-    /// Labels the load-scaling curve below — when shards are only a few
-    /// MB each, per-file fixed costs dominate and the curve flattens
-    /// (`rc regress` softens the t8 gate accordingly).
-    pub bytes_per_shard: u64,
-    /// Sharded load (manifest + all shards, one CRC pass per shard) at 1
-    /// worker thread, milliseconds.
-    pub sharded_load_ms_t1: f64,
-    /// Sharded load at 2 worker threads, milliseconds.
-    pub sharded_load_ms_t2: f64,
-    /// Sharded load at 4 worker threads, milliseconds. `rc regress` gates
-    /// this against `snapshot_load_ms`: the sharded path must beat the
-    /// monolithic load even before parallelism (it verifies each byte
-    /// once, not twice).
-    pub sharded_load_ms_t4: f64,
-    /// Sharded load at 8 worker threads, milliseconds.
-    pub sharded_load_ms_t8: f64,
-    /// Whether the `sharded_load_ms_t{N}` curve is copy-bound at this
-    /// scale: shards average under the parallelism floor
-    /// ([`crate::regress::SMALL_SHARD_BYTES`]), so per-file fixed costs
-    /// dominate and adding workers cannot move the numbers. `rc regress`
-    /// softens the t8 gate exactly (and only) when this label is set.
-    pub sharded_load_copy_bound: bool,
-    /// Mapped-layout (`RCSHRD02`) warm open: sidecars attest every file,
-    /// so the open maps + checks layout without streaming a byte.
+    /// Warm index open (`open_mapped` with every sidecar attesting its
+    /// file): maps + checks layouts without streaming a byte.
     /// Milliseconds — microsecond-class by design; `rc regress` gates
-    /// this at ≥100× faster than `sharded_load_ms_t1`.
+    /// this at ≥100× faster than `cold_open_ms`.
     pub warm_open_ms: f64,
-    /// Mapped-layout cold open (sidecars removed first): one streamed
-    /// CRC + deep-verification pass per file, then the sidecars are
-    /// re-earned. Milliseconds.
+    /// Cold index open (sidecars removed first): one streamed CRC +
+    /// deep-verification pass per file, then the sidecars are re-earned.
+    /// Milliseconds.
     pub cold_open_ms: f64,
-    /// Shard payload bytes behind memory mappings after a mapped open.
+    /// Shard payload bytes behind memory mappings after an open.
     pub mapped_bytes: u64,
     /// Indexed documents after the language gate.
     pub retained_docs: usize,
@@ -108,8 +79,8 @@ pub struct BenchReport {
     pub queries_per_sec: f64,
     /// Fraction of compressed blocks skipped whole by the Block-Max
     /// MaxScore bound over the latency workload: `blocks_skipped /
-    /// blocks_total`. Zero when no blocks were traversed (`blocks-off`)
-    /// or when the per-query deltas are compiled out (`obs-off`).
+    /// blocks_total`. Zero when the per-query deltas are compiled out
+    /// (`obs-off`).
     pub blocks_skipped_frac: f64,
     /// Number of α points in the sweep comparison.
     pub alpha_points: usize,
@@ -187,40 +158,32 @@ impl BenchReport {
     /// distances, eleven α points) on both the naive per-α path and the
     /// factored single-traversal path.
     pub fn measure(bench: &Bench) -> Self {
-        Self::measure_with(bench, None, None)
+        Self::measure_with(bench, None, crate::runner::DEFAULT_SHARDS)
     }
 
-    /// [`BenchReport::measure`] with an explicit store-container path: the
-    /// save → load round trip is measured against `snapshot` (kept on
-    /// disk for later `--snapshot` consumers) instead of a temp location.
-    /// When `shards` is given, `snapshot` names the sharded-snapshot
-    /// *directory* and the monolithic leg uses a temp file; otherwise
-    /// `snapshot` names the monolithic file and the sharded leg (always
-    /// measured, default 4 shards) uses a temp directory.
-    pub fn measure_with(
-        bench: &Bench,
-        snapshot: Option<&std::path::Path>,
-        shards: Option<usize>,
-    ) -> Self {
+    /// [`BenchReport::measure`] with an explicit snapshot directory: the
+    /// save → open round trip is measured against `snapshot` (kept on
+    /// disk for later `--snapshot` consumers) instead of a temp
+    /// directory, split into `shards` shards.
+    pub fn measure_with(bench: &Bench, snapshot: Option<&std::path::Path>, shards: usize) -> Self {
         // Snapshot round trip first, on a quiet machine state: save the
         // built corpus, then load + verify it back and check the
         // reconstruction, so `snapshot_load_ms` certifies a *usable*
-        // container, not just an I/O pass.
-        eprintln!("[bench] measuring snapshot save/load round trip...");
-        let temp = std::env::temp_dir().join(format!("rc-bench-{}.rcs", std::process::id()));
-        let snap_path = if shards.is_none() { snapshot.unwrap_or(&temp) } else { &temp };
-        if let Some(dir) = snap_path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).expect("snapshot directory must be creatable");
-        }
-        let saved =
-            rightcrowd_store::save(snap_path, &bench.ds, &bench.corpus).expect("snapshot save");
-        // Load timings are min-of-k: the load is ~100 ms against several
-        // ms of scheduler/page-cache jitter, and the regression harness
-        // hard-gates these keys, so the stable floor is the honest figure.
+        // snapshot, not just an I/O pass.
+        eprintln!("[bench] measuring snapshot save/open round trip ({shards} shards)...");
+        let temp = std::env::temp_dir().join(format!("rc-bench-{}.snap", std::process::id()));
+        let dir = snapshot.unwrap_or(&temp);
+        let threads = rightcrowd_core::par::default_threads();
+        let saved = rightcrowd_store::save_sharded(dir, &bench.ds, &bench.corpus, shards, threads)
+            .expect("snapshot save");
+        // Load timings are min-of-k: the load is tens of ms against
+        // several ms of scheduler/page-cache jitter, and the regression
+        // harness hard-gates these keys, so the stable floor is the
+        // honest figure.
         let mut snapshot_load_ms = f64::INFINITY;
         for rep in 0..LOAD_REPS {
             let (_, loaded_corpus, load_stats) =
-                rightcrowd_store::load(snap_path).expect("snapshot load");
+                rightcrowd_store::load_sharded(dir, threads).expect("snapshot load");
             if rep == 0 {
                 assert_eq!(
                     loaded_corpus.index(),
@@ -230,9 +193,6 @@ impl BenchReport {
             }
             snapshot_load_ms = snapshot_load_ms.min(load_stats.elapsed_ms);
         }
-        if snap_path == temp {
-            std::fs::remove_file(&temp).ok();
-        }
         eprintln!(
             "[bench]   {} bytes; load {:.0} ms vs cold build {:.0} ms",
             saved.bytes,
@@ -240,129 +200,29 @@ impl BenchReport {
             bench.generate_ms + bench.analyze_ms,
         );
 
-        // Postings footprint: what the two index sections cost on disk,
-        // against the flat-CSR encoding of the same lists as the
-        // uncompressed reference. Under `blocks-off` the reference *is*
-        // the written layout, so the ratio is exactly 1.
-        let parts = bench.corpus.index().to_parts();
-        let legacy_postings_bytes =
-            (rightcrowd_store::codec::encode_term_index(&parts.terms).len()
-                + rightcrowd_store::codec::encode_entity_index(&parts.entities).len())
-                as u64;
-        #[cfg(not(feature = "blocks-off"))]
-        let postings_bytes = {
-            let (packed_terms, packed_entities) = bench.corpus.index().packed_postings();
-            (rightcrowd_store::codec::encode_term_blocks(
-                &parts.terms.vocab,
-                &parts.terms.irf,
-                packed_terms,
-            )
-            .len()
-                + rightcrowd_store::codec::encode_entity_blocks(
-                    &parts.entities.vocab,
-                    &parts.entities.eirf,
-                    packed_entities,
-                )
-                .len()) as u64
-        };
-        #[cfg(feature = "blocks-off")]
-        let postings_bytes = legacy_postings_bytes;
-        let compression_ratio =
-            if postings_bytes > 0 { legacy_postings_bytes as f64 / postings_bytes as f64 } else { 0.0 };
-        eprintln!(
-            "[bench]   postings {postings_bytes} bytes ({compression_ratio:.2}x vs flat CSR)"
-        );
-
-        // Sharded round trip: same corpus split over per-term-range shards,
-        // loaded back at 1/2/4/8 worker threads so the snapshot records a
-        // load-scaling curve. Every load is parity-checked against the
-        // in-memory index — the curve certifies usable reconstructions.
-        let shard_count = shards.unwrap_or(4);
-        let temp_dir =
-            std::env::temp_dir().join(format!("rc-bench-{}.shards", std::process::id()));
-        let shard_dir = if shards.is_some() { snapshot.unwrap_or(&temp_dir) } else { &temp_dir };
-        eprintln!("[bench] measuring sharded load scaling ({shard_count} shards)...");
-        let sharded_saved = rightcrowd_store::save_sharded(
-            shard_dir,
-            &bench.ds,
-            &bench.corpus,
-            shard_count,
-            rightcrowd_core::par::default_threads(),
-        )
-        .expect("sharded snapshot save");
-        eprintln!(
-            "[bench]   {} bytes/shard — small shards pay per-file fixed costs, so \
-             the thread curve below flattens at this scale",
-            (sharded_saved.bytes - sharded_saved.manifest_bytes) / shard_count.max(1) as u64,
-        );
-        let mut sharded_ms = [0.0f64; 4];
-        for (slot, threads) in [1usize, 2, 4, 8].into_iter().enumerate() {
-            let mut best = f64::INFINITY;
-            for rep in 0..LOAD_REPS {
-                let (_, loaded, stats) = rightcrowd_store::load_sharded(shard_dir, threads)
-                    .expect("sharded snapshot load");
-                if rep == 0 {
-                    assert_eq!(
-                        loaded.index(),
-                        bench.corpus.index(),
-                        "sharded round trip at {threads} threads must reconstruct the identical index"
-                    );
-                }
-                best = best.min(stats.elapsed_ms);
-            }
-            sharded_ms[slot] = best;
-            eprintln!("[bench]   {threads} thread(s): {best:.0} ms");
-        }
-        if shard_dir == temp_dir {
-            std::fs::remove_dir_all(&temp_dir).ok();
-        }
-        let bytes_per_shard =
-            (sharded_saved.bytes - sharded_saved.manifest_bytes) / shard_count.max(1) as u64;
-        let sharded_load_copy_bound = (bytes_per_shard as f64) < crate::regress::SMALL_SHARD_BYTES;
-        if sharded_load_copy_bound {
-            eprintln!(
-                "[bench]   sharded_load_ms_t1..t8 are copy-bound at this scale \
-                 ({bytes_per_shard} bytes/shard < parallelism floor)"
-            );
-        }
-
-        // Mapped-layout (`RCSHRD02`) open costs: the zero-copy path every
-        // `--snapshot` consumer takes when the snapshot was saved with
-        // `--layout mapped`. Warm opens verify the sidecars and map;
+        // Index-only open costs. Warm opens verify the sidecars and map;
         // cold opens (sidecars removed) pay one streamed CRC +
         // deep-verification pass per file, then re-earn the sidecars.
-        eprintln!("[bench] measuring mapped-layout open costs...");
-        let mapped_dir =
-            std::env::temp_dir().join(format!("rc-bench-{}.mapped", std::process::id()));
-        rightcrowd_store::save_sharded_with(
-            &mapped_dir,
-            &bench.ds,
-            &bench.corpus,
-            shard_count,
-            rightcrowd_core::par::default_threads(),
-            rightcrowd_store::SnapshotLayout::Mapped,
-        )
-        .expect("mapped snapshot save");
+        eprintln!("[bench] measuring cold and warm index opens...");
         let mut cold_open_ms = f64::INFINITY;
         for _ in 0..LOAD_REPS {
-            for entry in std::fs::read_dir(&mapped_dir).expect("mapped dir") {
+            for entry in std::fs::read_dir(dir).expect("snapshot dir") {
                 let path = entry.expect("dir entry").path();
                 if path.extension().is_some_and(|e| e == "rcv") {
                     std::fs::remove_file(path).expect("sidecar removal");
                 }
             }
-            let (_, stats) = rightcrowd_store::open_mapped(&mapped_dir).expect("cold mapped open");
+            let (_, stats) = rightcrowd_store::open_mapped(dir).expect("cold open");
             assert!(!stats.warm, "cold open must not find live sidecars");
             cold_open_ms = cold_open_ms.min(stats.elapsed_ms);
         }
         // The cold pass just rewrote the sidecars; warm opens are now
-        // available. More reps than the streamed loads: a microsecond
+        // available. More reps than the full loads: a microsecond
         // measurement needs a deeper floor to shed scheduler noise.
         let mut warm_open_ms = f64::INFINITY;
         let mut mapped_bytes = 0u64;
         for rep in 0..LOAD_REPS * 3 {
-            let (index, stats) =
-                rightcrowd_store::open_mapped(&mapped_dir).expect("warm mapped open");
+            let (index, stats) = rightcrowd_store::open_mapped(dir).expect("warm open");
             assert!(stats.warm, "sidecars were just re-earned; the open must be warm");
             if rep == 0 {
                 // Live owned-vs-mapped parity: the borrowed-from-disk
@@ -377,7 +237,9 @@ impl BenchReport {
             mapped_bytes = stats.mapped_bytes;
             warm_open_ms = warm_open_ms.min(stats.elapsed_ms);
         }
-        std::fs::remove_dir_all(&mapped_dir).ok();
+        if dir == temp {
+            std::fs::remove_dir_all(&temp).ok();
+        }
         eprintln!(
             "[bench]   warm open {:.3} ms / cold open {cold_open_ms:.0} ms ({mapped_bytes} bytes mapped)",
             warm_open_ms,
@@ -386,10 +248,9 @@ impl BenchReport {
         // End of the build/store phase: freeze its counter totals, then
         // reset the counters so the final `metrics` block reports
         // query + sweep deltas instead of cumulative process totals
-        // (`snapshot_bytes_read` alone accrues LOAD_REPS × (1 + thread
-        // points) container reads above). Histograms and spans are left
-        // accumulating — only counters have the cumulative-vs-delta
-        // ambiguity.
+        // (`snapshot_bytes_read` alone accrues a manifest read per open
+        // above). Histograms and spans are left accumulating — only
+        // counters have the cumulative-vs-delta ambiguity.
         let build_metrics = rightcrowd_obs::snapshot();
         rightcrowd_obs::reset_counters();
 
@@ -485,16 +346,8 @@ impl BenchReport {
             cold_build_ms: bench.generate_ms + bench.analyze_ms,
             snapshot_load_ms,
             snapshot_bytes: saved.bytes,
-            postings_bytes,
-            compression_ratio,
-            shard_count,
-            manifest_bytes: sharded_saved.manifest_bytes,
-            bytes_per_shard,
-            sharded_load_ms_t1: sharded_ms[0],
-            sharded_load_ms_t2: sharded_ms[1],
-            sharded_load_ms_t4: sharded_ms[2],
-            sharded_load_ms_t8: sharded_ms[3],
-            sharded_load_copy_bound,
+            shard_count: saved.shard_count,
+            manifest_bytes: saved.manifest_bytes,
             warm_open_ms,
             cold_open_ms,
             mapped_bytes,
@@ -544,12 +397,7 @@ impl BenchReport {
              \"threads\": {},\n  \"unix_time\": {},\n  \
              \"generate_ms\": {},\n  \"analyze_ms\": {},\n  \"cold_build_ms\": {},\n  \
              \"snapshot_load_ms\": {},\n  \"snapshot_bytes\": {},\n  \
-             \"postings_bytes\": {},\n  \"compression_ratio\": {},\n  \
              \"shard_count\": {},\n  \"manifest_bytes\": {},\n  \
-             \"bytes_per_shard\": {},\n  \
-             \"sharded_load_ms_t1\": {},\n  \"sharded_load_ms_t2\": {},\n  \
-             \"sharded_load_ms_t4\": {},\n  \"sharded_load_ms_t8\": {},\n  \
-             \"sharded_load_copy_bound\": {},\n  \
              \"warm_open_ms\": {},\n  \"cold_open_ms\": {},\n  \
              \"mapped_bytes\": {},\n  \
              \"retained_docs\": {},\n  \
@@ -573,16 +421,8 @@ impl BenchReport {
             num(self.cold_build_ms),
             num(self.snapshot_load_ms),
             self.snapshot_bytes,
-            self.postings_bytes,
-            num(self.compression_ratio),
             self.shard_count,
             self.manifest_bytes,
-            self.bytes_per_shard,
-            num(self.sharded_load_ms_t1),
-            num(self.sharded_load_ms_t2),
-            num(self.sharded_load_ms_t4),
-            num(self.sharded_load_ms_t8),
-            self.sharded_load_copy_bound,
             num(self.warm_open_ms),
             num(self.cold_open_ms),
             self.mapped_bytes,
@@ -638,16 +478,8 @@ mod tests {
             cold_build_ms: 812.75,
             snapshot_load_ms: 40.5,
             snapshot_bytes: 1_234_567,
-            postings_bytes: 222_333,
-            compression_ratio: 1.75,
             shard_count: 4,
             manifest_bytes: 9_876,
-            bytes_per_shard: 55_555,
-            sharded_load_ms_t1: 38.0,
-            sharded_load_ms_t2: 24.0,
-            sharded_load_ms_t4: 15.5,
-            sharded_load_ms_t8: 14.0,
-            sharded_load_copy_bound: true,
             warm_open_ms: 0.125,
             cold_open_ms: 42.0,
             mapped_bytes: 1_111_111,
@@ -696,16 +528,8 @@ mod tests {
             "cold_build_ms",
             "snapshot_load_ms",
             "snapshot_bytes",
-            "postings_bytes",
-            "compression_ratio",
             "shard_count",
             "manifest_bytes",
-            "bytes_per_shard",
-            "sharded_load_ms_t1",
-            "sharded_load_ms_t2",
-            "sharded_load_ms_t4",
-            "sharded_load_ms_t8",
-            "sharded_load_copy_bound",
             "warm_open_ms",
             "cold_open_ms",
             "mapped_bytes",
@@ -736,13 +560,11 @@ mod tests {
         assert!(json.contains("\"snapshot_bytes\": 1234567"));
         assert!(json.contains("\"shard_count\": 4"));
         assert!(json.contains("\"manifest_bytes\": 9876"));
-        assert!(json.contains("\"postings_bytes\": 222333"));
-        assert!(json.contains("\"compression_ratio\": 1.750"));
-        assert!(json.contains("\"bytes_per_shard\": 55555"));
         assert!(json.contains("\"blocks_skipped_frac\": 0.250"));
-        assert!(json.contains("\"sharded_load_ms_t4\": 15.500"));
         assert!(json.contains("\"cold_build_ms\": 812.750"));
-        assert!(json.contains("\"sharded_load_copy_bound\": true"));
+        for retired in ["postings_bytes", "compression_ratio", "sharded_load_ms_t1", "bytes_per_shard"] {
+            assert!(!json.contains(retired), "{retired} is no longer reported");
+        }
         assert!(json.contains("\"warm_open_ms\": 0.125"));
         assert!(json.contains("\"cold_open_ms\": 42.000"));
         assert!(json.contains("\"mapped_bytes\": 1111111"));
@@ -829,10 +651,10 @@ mod tests {
     }
 
     /// Pins the per-phase counter semantics: `build_metrics` carries the
-    /// build/store phase totals (≥ LOAD_REPS monolithic container reads
-    /// of `snapshot_bytes` each), and the final `metrics` block carries
-    /// query + sweep *deltas* — in particular zero snapshot reads,
-    /// because nothing loads containers after the reset.
+    /// build/store phase totals (≥ LOAD_REPS full loads, each reading
+    /// the whole manifest), and the final `metrics` block carries query +
+    /// sweep *deltas* — in particular zero snapshot reads, because
+    /// nothing opens snapshots after the reset.
     #[test]
     fn measure_reports_per_phase_counter_deltas() {
         use rightcrowd_obs::CounterId;
@@ -847,10 +669,10 @@ mod tests {
         }
         let build_read = report.build_metrics.counter(CounterId::SnapshotBytesRead);
         assert!(
-            build_read >= LOAD_REPS as u64 * report.snapshot_bytes,
-            "build phase must record its container reads: {build_read} < {} × {}",
+            build_read >= LOAD_REPS as u64 * report.manifest_bytes,
+            "build phase must record its manifest reads: {build_read} < {} × {}",
             LOAD_REPS,
-            report.snapshot_bytes
+            report.manifest_bytes
         );
         assert_eq!(
             report.metrics.counter(CounterId::SnapshotBytesRead),

@@ -22,36 +22,33 @@ pub fn load_dataset() -> SyntheticDataset {
     SyntheticDataset::generate(&config)
 }
 
-/// How an existing snapshot container was loaded, for progress output
-/// and the daemon's `/healthz` report.
+/// The shard count a snapshot gets when no `--shards` is given, both
+/// from `rc save` and when a cache miss writes one.
+pub const DEFAULT_SHARDS: usize = 4;
+
+/// How an existing snapshot was loaded, for progress output and the
+/// daemon's `/healthz` report.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotLoad {
-    /// Whether the container was a sharded directory (vs a monolithic
-    /// file).
-    pub sharded: bool,
-    /// Whether the shards were `RCSHRD02` files opened zero-copy via
-    /// `mmap(2)` (always `false` for monolithic containers).
-    pub mapped: bool,
-    /// Shard files read (1 for a monolithic container).
+    /// Shard files opened.
     pub shard_count: usize,
-    /// Total bytes read and verified.
+    /// Total bytes verified or mapped: manifest plus every shard.
     pub bytes: u64,
-    /// The sharded manifest's whole-file digest — the snapshot identity
-    /// `/healthz` fingerprints on the mapped path (it attests the shard
-    /// table and thus every shard without paging the index in). `None`
-    /// for monolithic containers.
-    pub manifest_digest: Option<u64>,
-    /// Wall time of read + verify + reconstruct, milliseconds.
+    /// The manifest's whole-file digest — the snapshot identity
+    /// `/healthz` fingerprints (it attests the shard table and thus every
+    /// shard without paging the index in).
+    pub manifest_digest: u64,
+    /// Wall time of read + verify + decode + map, milliseconds.
     pub elapsed_ms: f64,
 }
 
-/// Loads an *existing* snapshot container, auto-detecting the layout: a
-/// directory holding `manifest.rcm` goes through the parallel sharded
-/// path, a file through the monolithic one, and anything else (including
-/// a manifest-less directory) is a typed error. This is the one loader
-/// every `--snapshot` consumer shares — `rc bench`, `explain`, `flight`,
-/// `regress`, `soak`, and the resident `rc serve` daemon — so sharded
-/// detection and integrity failures behave identically everywhere.
+/// Loads an *existing* snapshot directory (one holding `manifest.rcm`).
+/// A regular file — a retired single-file snapshot — and a manifest-less
+/// directory are refused with an error saying what to do, never treated
+/// as a cache miss. This is the one loader every `--snapshot` consumer
+/// shares — `rc bench`, `explain`, `flight`, `regress`, `soak`, and the
+/// resident `rc serve` daemon — so integrity failures behave identically
+/// everywhere.
 pub fn load_snapshot(
     path: &std::path::Path,
     threads: usize,
@@ -60,31 +57,21 @@ pub fn load_snapshot(
         let (ds, corpus, stats) = rightcrowd_store::load_sharded(path, threads)
             .map_err(|e| format!("snapshot {}: {e}", path.display()))?;
         let load = SnapshotLoad {
-            sharded: true,
-            mapped: stats.mapped,
             shard_count: stats.shard_count,
             bytes: stats.bytes,
-            manifest_digest: Some(stats.manifest_digest),
+            manifest_digest: stats.manifest_digest,
             elapsed_ms: stats.elapsed_ms,
         };
         return Ok((ds, corpus, load));
     }
     if path.is_file() {
-        let (ds, corpus, stats) = rightcrowd_store::load(path)
-            .map_err(|e| format!("snapshot {}: {e}", path.display()))?;
-        let load = SnapshotLoad {
-            sharded: false,
-            mapped: false,
-            shard_count: 1,
-            bytes: stats.bytes,
-            manifest_digest: None,
-            elapsed_ms: stats.elapsed_ms,
-        };
-        return Ok((ds, corpus, load));
+        return Err(format!(
+            "snapshot {}: is a single file, a retired snapshot format; snapshots are \
+             directories now — re-save it with `rc save --snapshot DIR`",
+            path.display()
+        ));
     }
     if path.is_dir() {
-        // An existing directory without a manifest is not a snapshot we
-        // can load (or should ever overwrite).
         return Err(format!(
             "snapshot {}: directory exists but holds no {}",
             path.display(),
@@ -131,36 +118,19 @@ impl Bench {
         Bench { ds, corpus, generate_ms, analyze_ms }
     }
 
-    /// Like [`Bench::prepare`], but served from a store container when one
-    /// is given: an existing file is loaded (verified checksums, no
-    /// pipeline run — the *query many* half of the serving story), and a
-    /// missing file is populated after the cold build so the next run —
-    /// or the next CI job — hits the cache. The container kind is detected
-    /// at runtime: a directory holding `manifest.rcm` loads through the
-    /// parallel sharded path, anything else through the monolithic one. A
-    /// damaged or mismatched container is an error (its typed
-    /// [`rightcrowd_store::StoreError`] rendered), never a silent rebuild.
+    /// Like [`Bench::prepare`], but served from a snapshot directory when
+    /// one is given: an existing snapshot is loaded (verified checksums,
+    /// no pipeline run — the *query many* half of the serving story), and
+    /// a missing path is populated (with [`DEFAULT_SHARDS`] shards) after
+    /// the cold build so the next run — or the next CI job — hits the
+    /// cache. A damaged or mismatched snapshot, a regular file, or a
+    /// manifest-less directory is an error (rendered), never a silent
+    /// rebuild and never overwritten.
     pub fn prepare_with(snapshot: Option<&std::path::Path>) -> Result<Self, String> {
-        Self::prepare_with_opts(snapshot, None)
-    }
-
-    /// [`Bench::prepare_with`] with a shard policy for the cache-miss
-    /// path: when the snapshot is absent and `shards` is given, the cold
-    /// build is cached as a sharded directory instead of a monolithic
-    /// file. Loading always auto-detects, so `shards` never changes how an
-    /// *existing* snapshot is read.
-    pub fn prepare_with_opts(
-        snapshot: Option<&std::path::Path>,
-        shards: Option<usize>,
-    ) -> Result<Self, String> {
         let Some(path) = snapshot else { return Ok(Self::prepare()) };
         let threads = rightcrowd_core::par::default_threads();
-        if rightcrowd_store::is_sharded(path) || path.is_file() {
-            eprintln!(
-                "[bench] loading {}snapshot {}...",
-                if rightcrowd_store::is_sharded(path) { "sharded " } else { "" },
-                path.display()
-            );
+        if path.exists() {
+            eprintln!("[bench] loading snapshot {}...", path.display());
             let (ds, corpus, load) = load_snapshot(path, threads)?;
             eprintln!(
                 "[bench]   {} retained docs from {} shard(s) / {} bytes in {:.0} ms (pipeline skipped)",
@@ -172,37 +142,18 @@ impl Bench {
             // No pipeline ran, so there are no build timings to report.
             return Ok(Bench { ds, corpus, generate_ms: 0.0, analyze_ms: 0.0 });
         }
-        if path.is_dir() && shards.is_none() {
-            // An existing directory without a manifest is not a snapshot
-            // we can (or should) overwrite with a monolithic file.
-            return Err(format!(
-                "snapshot {}: directory exists but holds no {}",
-                path.display(),
-                rightcrowd_store::MANIFEST_FILE
-            ));
-        }
         let bench = Self::prepare();
-        match shards {
-            Some(n) => match rightcrowd_store::save_sharded(path, &bench.ds, &bench.corpus, n, threads) {
-                Ok(saved) => eprintln!(
-                    "[bench]   cached sharded snapshot {} ({} shards, {} bytes, {:.0} ms)",
-                    path.display(),
-                    saved.shard_count,
-                    saved.bytes,
-                    saved.elapsed_ms,
-                ),
-                Err(e) => eprintln!("[bench]   warning: cannot cache {}: {e}", path.display()),
-            },
-            None => match rightcrowd_store::save(path, &bench.ds, &bench.corpus) {
-                Ok(saved) => eprintln!(
-                    "[bench]   cached snapshot {} ({} bytes, {:.0} ms)",
-                    path.display(),
-                    saved.bytes,
-                    saved.elapsed_ms,
-                ),
-                // A failed cache write only costs the next run a rebuild.
-                Err(e) => eprintln!("[bench]   warning: cannot cache {}: {e}", path.display()),
-            },
+        match rightcrowd_store::save_sharded(path, &bench.ds, &bench.corpus, DEFAULT_SHARDS, threads)
+        {
+            Ok(saved) => eprintln!(
+                "[bench]   cached snapshot {} ({} shards, {} bytes, {:.0} ms)",
+                path.display(),
+                saved.shard_count,
+                saved.bytes,
+                saved.elapsed_ms,
+            ),
+            // A failed cache write only costs the next run a rebuild.
+            Err(e) => eprintln!("[bench]   warning: cannot cache {}: {e}", path.display()),
         }
         Ok(bench)
     }
@@ -245,13 +196,29 @@ mod tests {
     fn prepare_with_rejects_a_damaged_snapshot() {
         let dir = std::env::temp_dir().join(format!("rc-runner-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.rcs");
-        std::fs::write(&path, b"definitely not a container").unwrap();
-        let err = match Bench::prepare_with(Some(&path)) {
+        std::fs::write(rightcrowd_store::manifest_path(&dir), b"definitely not a manifest").unwrap();
+        let err = match Bench::prepare_with(Some(&dir)) {
             Err(err) => err,
             Ok(_) => panic!("damaged snapshot must fail"),
         };
-        assert!(err.contains("bad.rcs"), "{err}");
+        assert!(err.contains("rc-runner-test"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_single_file_snapshot_is_refused_and_left_unchanged() {
+        let dir = std::env::temp_dir().join(format!("rc-runner-file-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("corpus.rcs");
+        let contents = b"RCSNAP01 a retired single-file snapshot".to_vec();
+        std::fs::write(&path, &contents).unwrap();
+        let err = match Bench::prepare_with(Some(&path)) {
+            Err(err) => err,
+            Ok(_) => panic!("a regular file must not load"),
+        };
+        assert!(err.contains("corpus.rcs") && err.contains("rc save"), "{err}");
+        assert!(load_snapshot(&path, 2).unwrap_err().contains("rc save"));
+        assert_eq!(std::fs::read(&path).unwrap(), contents, "the file must be left unchanged");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -262,8 +229,8 @@ mod tests {
         rightcrowd_store::save_sharded(&dir, ds, corpus, 3, 2).unwrap();
         let bench = Bench::prepare_with(Some(&dir)).unwrap();
         assert_eq!(bench.corpus.index(), corpus.index());
-        // A directory that is not a sharded snapshot must not be treated
-        // as a cache miss and silently overwritten.
+        // A directory that is not a snapshot must not be treated as a
+        // cache miss and silently overwritten.
         std::fs::remove_file(rightcrowd_store::manifest_path(&dir)).unwrap();
         let err = match Bench::prepare_with(Some(&dir)) {
             Err(err) => err,

@@ -174,8 +174,6 @@ pub struct RankApp {
     config: FinderConfig,
     fingerprint: String,
     snapshot_label: String,
-    sharded: Option<bool>,
-    mapped: Option<bool>,
     started: Instant,
     served: AtomicU64,
     wide: Mutex<WideEventLog>,
@@ -185,25 +183,23 @@ impl RankApp {
     /// Warms the app over a prepared bench: trains the process-wide
     /// language profiles, computes the shared attribution once (every
     /// request reuses both — the daemon's amortisation story) and
-    /// fingerprints the snapshot for `/healthz`.
+    /// fingerprints the snapshot for `/healthz`: a loaded snapshot by its
+    /// manifest digest, a cold-built corpus (`load` is `None`) by a hash
+    /// of its census.
     pub fn new(bench: Bench, snapshot_label: String, load: Option<SnapshotLoad>) -> RankApp {
         // The first identifier in a process trains the language profiles;
         // build one now so no client's request pays for that.
         let _ = rightcrowd_langid::LanguageIdentifier::new();
         let config = FinderConfig::default();
         let attribution = bench.ctx().attribution(&config);
-        // On the mapped path the index is borrowed from `mmap(2)` pages
-        // that may not be resident yet: fingerprint the snapshot by its
-        // manifest digest (already verified against the sidecar at open
-        // time — it attests the shard table and thus every shard's
-        // bytes) instead of hashing corpus content, which would force a
-        // full page-in on daemon boot.
+        // A loaded index is borrowed from `mmap(2)` pages that may not be
+        // resident yet: fingerprint the snapshot by its manifest digest
+        // (verified at open time — it attests the shard table and thus
+        // every shard's bytes) instead of hashing corpus content, which
+        // would force a full page-in on daemon boot.
         let fingerprint = match load {
-            Some(l) if l.mapped => {
-                let digest = l.manifest_digest.expect("mapped loads carry the manifest digest");
-                format!("{digest:016x}")
-            }
-            _ => {
+            Some(l) => format!("{:016x}", l.manifest_digest),
+            None => {
                 let (persons, profiles, resources, containers) = bench.ds.graph().counts();
                 let identity = format!(
                     "{}|{}|{}|{}|{}|{}|{}|{}",
@@ -225,8 +221,6 @@ impl RankApp {
             config,
             fingerprint,
             snapshot_label,
-            sharded: load.map(|l| l.sharded),
-            mapped: load.map(|l| l.mapped),
             started: Instant::now(),
             served: AtomicU64::new(0),
             wide: Mutex::new(WideEventLog::new(WIDE_RESERVOIR, WIDE_TAIL, 0x005E_12ED)),
@@ -321,14 +315,6 @@ impl RankApp {
         doc.insert("status".to_owned(), Json::Str("ok".to_owned()));
         doc.insert("scale".to_owned(), Json::Str(crate::runner::scale_label()));
         doc.insert("snapshot".to_owned(), Json::Str(self.snapshot_label.clone()));
-        doc.insert(
-            "sharded".to_owned(),
-            self.sharded.map_or(Json::Null, Json::Bool),
-        );
-        doc.insert(
-            "mapped".to_owned(),
-            self.mapped.map_or(Json::Null, Json::Bool),
-        );
         doc.insert("fingerprint".to_owned(), Json::Str(self.fingerprint.clone()));
         doc.insert("git_rev".to_owned(), Json::Str(crate::report::git_rev()));
         doc.insert("features".to_owned(), Json::Str(crate::soak::build_features()));
@@ -521,8 +507,8 @@ mod tests {
     }
 
     #[test]
-    fn mapped_loads_fingerprint_by_manifest_digest() {
-        // A mapped open hands the app the manifest digest, and the app
+    fn loaded_snapshots_fingerprint_by_manifest_digest() {
+        // A snapshot open hands the app the manifest digest, and the app
         // must use it verbatim — hashing corpus content instead would
         // force a full page-in of the borrowed index on daemon boot.
         let make = |load: Option<SnapshotLoad>| {
@@ -533,37 +519,26 @@ mod tests {
             let bench = Bench { ds, corpus, generate_ms: 0.0, analyze_ms: 0.0 };
             RankApp::new(bench, "snap".to_owned(), load)
         };
-        let mapped_load = SnapshotLoad {
-            sharded: true,
-            mapped: true,
+        let load = SnapshotLoad {
             shard_count: 2,
             bytes: 1024,
-            manifest_digest: Some(0xDEAD_BEEF_0BAD_F00D),
+            manifest_digest: 0xDEAD_BEEF_0BAD_F00D,
             elapsed_ms: 0.1,
         };
-        let app = make(Some(mapped_load));
+        let app = make(Some(load));
         assert_eq!(app.fingerprint(), "deadbeef0badf00d");
         let doc = parse_json(
             std::str::from_utf8(&app.handle(&get("/healthz")).body).unwrap(),
         )
         .unwrap();
-        assert_eq!(doc.get("mapped"), Some(&Json::Bool(true)));
         assert_eq!(
             doc.get("fingerprint"),
             Some(&Json::Str("deadbeef0badf00d".to_owned()))
         );
-        // A streamed sharded load keeps the identity-hash fingerprint.
-        let streamed = make(Some(SnapshotLoad {
-            mapped: false,
-            manifest_digest: Some(0xDEAD_BEEF_0BAD_F00D),
-            ..mapped_load
-        }));
-        assert_ne!(streamed.fingerprint(), "deadbeef0badf00d");
-        let doc = parse_json(
-            std::str::from_utf8(&streamed.handle(&get("/healthz")).body).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(doc.get("mapped"), Some(&Json::Bool(false)));
+        // A cold-built corpus has no manifest; it keeps a census hash.
+        let cold = make(None);
+        assert_ne!(cold.fingerprint(), "deadbeef0badf00d");
+        assert_eq!(cold.fingerprint().len(), 16);
     }
 
     #[test]

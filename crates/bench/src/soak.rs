@@ -55,18 +55,7 @@ const WIDE_TAIL: usize = 64;
 
 /// The compile-time feature string for the OpenMetrics `build_info`.
 pub(crate) fn build_features() -> String {
-    let mut features: Vec<&str> = Vec::new();
-    if !rightcrowd_obs::PROBES_ENABLED {
-        features.push("obs-off");
-    }
-    if cfg!(feature = "blocks-off") {
-        features.push("blocks-off");
-    }
-    if features.is_empty() {
-        "default".to_owned()
-    } else {
-        features.join(",")
-    }
+    if rightcrowd_obs::PROBES_ENABLED { "default" } else { "obs-off" }.to_owned()
 }
 
 /// The `build_info` labels for every exposition this binary produces.

@@ -3,7 +3,7 @@
 //!
 //! Every array the query path reads — CSR offsets, packed posting-block
 //! payloads, per-list statistics — is stored as a [`Seg<T>`]. The owned
-//! variant is what the builder and the streamed snapshot decoder produce;
+//! variant is what the builder produces;
 //! the mapped variant points straight into an `mmap(2)`'d shard file, so
 //! a warm open borrows the page cache instead of re-copying megabytes
 //! into fresh allocations, and N processes mapping the same file share
@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// An array of plain-old-data values, either owned or borrowed from a
 /// reference-counted memory mapping.
 pub enum Seg<T: Copy + 'static> {
-    /// Heap-allocated storage (builder output, streamed snapshot decode).
+    /// Heap-allocated storage (builder output).
     Owned(Vec<T>),
     /// A view into memory kept alive by `owner` (an `Arc` over the mmap).
     /// Invariant (upheld by [`Seg::from_owner`]): `ptr` is aligned for

@@ -23,7 +23,7 @@
 //! Packing is a pure function of the CSR arrays: equal indexes always
 //! pack to identical bytes, which keeps snapshot re-saves byte-identical.
 //! [`unpack_terms`] / [`unpack_entities`] are the untrusted-input path
-//! (snapshot decode): they re-validate every structural invariant —
+//! (the cold open of a snapshot shard): they re-validate every structural invariant —
 //! block shapes, widths, payload spans, doc monotonicity, and that the
 //! recorded block maxima match the decoded postings bit for bit — so
 //! forged block metadata is rejected instead of silently unsoundly
@@ -280,12 +280,6 @@ impl PackedPostings {
     /// Total number of blocks across every list.
     pub fn block_count(&self) -> usize {
         self.counts.len()
-    }
-
-    /// Whether any list has been packed (false for the empty default,
-    /// i.e. when the compressed path is disabled).
-    pub fn is_packed(&self) -> bool {
-        !self.block_offsets.is_empty()
     }
 
     #[inline]

@@ -161,7 +161,7 @@ pub(crate) struct ResolvedEntity<'a> {
 ///
 /// The postings live in one of two stores: the *flat* store (interned
 /// `HashMap` vocabularies + CSR arrays + block-compressed mirrors, all
-/// owned) that the builder and the streamed snapshot decoder produce, or
+/// owned) that the builder produces, or
 /// the *mapped* store ([`crate::mapped`]) whose arrays are borrowed
 /// zero-copy from `mmap`'d shard files. Every public accessor and every
 /// scoring path dispatches on the store and produces bit-identical
@@ -177,10 +177,10 @@ pub struct InvertedIndex {
     pub(crate) terms: TermTable,
     pub(crate) entities: EntityTable,
     pub(crate) doc_lens: Vec<u32>,
-    /// Block-compressed mirror of the term postings (empty when the
-    /// compressed path is compiled out via `blocks-off`). Derived
-    /// deterministically from the CSR arrays by [`InvertedIndex::assemble`],
-    /// so it adds no degrees of freedom to `PartialEq`.
+    /// Block-compressed mirror of the term postings, which every scorer
+    /// reads. Derived deterministically from the CSR arrays by
+    /// [`InvertedIndex::assemble`], so it adds no degrees of freedom to
+    /// `PartialEq`.
     pub(crate) packed_terms: PackedPostings,
     /// Block-compressed mirror of the entity postings.
     pub(crate) packed_entities: PackedPostings,
@@ -287,19 +287,13 @@ fn heap_capacity(k: usize) -> usize {
 
 impl InvertedIndex {
     /// Builds the final index from its interned tables, deriving the
-    /// block-compressed posting mirror (unless compiled out). Every
-    /// construction path — builder, snapshot decode, shard splice —
-    /// funnels through here, so the packed state always agrees with the
-    /// CSR arrays.
+    /// block-compressed posting mirror, so the packed state always agrees
+    /// with the CSR arrays.
     pub(crate) fn assemble(terms: TermTable, entities: EntityTable, doc_lens: Vec<u32>) -> Self {
-        #[cfg(not(feature = "blocks-off"))]
         let (packed_terms, packed_entities) = (
             block::pack_term_lists((0..terms.irf.len() as u32).map(|id| terms.list(id))),
             block::pack_entity_lists((0..entities.eirf.len() as u32).map(|id| entities.list(id))),
         );
-        #[cfg(feature = "blocks-off")]
-        let (packed_terms, packed_entities) =
-            (PackedPostings::default(), PackedPostings::default());
         InvertedIndex { terms, entities, doc_lens, packed_terms, packed_entities, mapped: None }
     }
 
@@ -323,21 +317,6 @@ impl InvertedIndex {
     /// Whether this index reads through the zero-copy mapped store.
     pub fn is_mapped(&self) -> bool {
         self.mapped.is_some()
-    }
-
-    /// The block-compressed `(terms, entities)` posting mirrors of the
-    /// *flat* store. Empty (zero lists) when the compressed path is
-    /// disabled — check with [`PackedPostings::is_packed`] — and also on a
-    /// mapped index, whose packed state lives per shard view.
-    pub fn packed_postings(&self) -> (&PackedPostings, &PackedPostings) {
-        (&self.packed_terms, &self.packed_entities)
-    }
-
-    /// Whether the scorer takes the block-compressed path. A mapped index
-    /// always does: its postings only exist in packed form.
-    #[inline]
-    fn blocks_enabled(&self) -> bool {
-        self.mapped.is_some() || self.packed_terms.is_packed()
     }
 
     /// Number of indexed documents (the collection size `N`).
@@ -470,10 +449,9 @@ impl InvertedIndex {
     }
 
     /// Resolves a term to its scoring ingredients on whichever store backs
-    /// this index. `flat` carries the dense CSR id on the flat store (the
-    /// packed mirror may be compiled out there); on the mapped store the
-    /// postings only exist packed, so `flat` is `None` and `packed`/`local`
-    /// address the owning shard view.
+    /// this index. `flat` carries the dense CSR id on the flat store; on
+    /// the mapped store the postings only exist packed, so `flat` is
+    /// `None` and `packed`/`local` address the owning shard view.
     pub(crate) fn resolve_term(&self, term: &str) -> Option<ResolvedTerm<'_>> {
         match self.mapped.as_deref() {
             None => {
@@ -681,7 +659,6 @@ impl InvertedIndex {
         // Observability tallies, accumulated locally (no atomics in the
         // hot loop) and published once on the way out.
         let mut st = TraversalStats::default();
-        let blocks = self.blocks_enabled();
 
         // Active posting lists in accumulation order (terms before
         // entities, query order within each side), each resolved against
@@ -784,58 +761,38 @@ impl InvertedIndex {
                 match list {
                     ListRef::Term(r) => {
                         let w = alpha * r.irf * r.irf;
-                        if blocks {
-                            let packed = r.packed;
-                            let (bs, be) = packed.list_blocks(r.local);
-                            st.blocks_total += (be - bs) as u64;
-                            let mut prev = -1i64;
-                            for b in bs..be {
-                                let last = packed.last_doc[b];
-                                // A doc first seen in this block gains at
-                                // most the block max from this list plus
-                                // everything after it; below θ, the block
-                                // can only matter through already-touched
-                                // docs — skip it whole when none are in
-                                // its doc range.
-                                let prunable = skip_new
-                                    || theta.is_some_and(|t| {
-                                        (w * packed.max_score[b] + remaining[j + 1])
-                                            * (1.0 + 1e-9)
-                                            < t
-                                    });
-                                if prunable && !snapshot(&s.touched, (prev + 1) as u32, last) {
-                                    let count = packed.counts[b] as u64;
-                                    st.pruned += count;
-                                    st.postings_skipped += count;
-                                    st.blocks_skipped += 1;
-                                    prev = i64::from(last);
-                                    continue;
-                                }
-                                let (n, bytes) =
-                                    packed.decode_block(b, prev, &mut dbuf, &mut fbuf);
-                                st.blocks_decoded += 1;
-                                st.postings_bytes_decoded += bytes;
-                                st.traversed += n as u64;
-                                for (&doc, &tf) in dbuf[..n].iter().zip(&fbuf[..n]) {
-                                    let d = doc as usize;
-                                    if s.stamps[d] != s.epoch {
-                                        if skip_new {
-                                            st.pruned += 1;
-                                            continue;
-                                        }
-                                        s.stamps[d] = s.epoch;
-                                        s.acc[d] = 0.0;
-                                        s.touched.push(doc);
-                                    }
-                                    s.acc[d] += w * tf as f64;
-                                }
+                        let packed = r.packed;
+                        let (bs, be) = packed.list_blocks(r.local);
+                        st.blocks_total += (be - bs) as u64;
+                        let mut prev = -1i64;
+                        for b in bs..be {
+                            let last = packed.last_doc[b];
+                            // A doc first seen in this block gains at
+                            // most the block max from this list plus
+                            // everything after it; below θ, the block
+                            // can only matter through already-touched
+                            // docs — skip it whole when none are in
+                            // its doc range.
+                            let prunable = skip_new
+                                || theta.is_some_and(|t| {
+                                    (w * packed.max_score[b] + remaining[j + 1])
+                                        * (1.0 + 1e-9)
+                                        < t
+                                });
+                            if prunable && !snapshot(&s.touched, (prev + 1) as u32, last) {
+                                let count = packed.counts[b] as u64;
+                                st.pruned += count;
+                                st.postings_skipped += count;
+                                st.blocks_skipped += 1;
                                 prev = i64::from(last);
+                                continue;
                             }
-                        } else {
-                            let (docs, tfs) =
-                                self.terms.list(r.flat.expect("flat store when blocks are off"));
-                            st.traversed += docs.len() as u64;
-                            for (&doc, &tf) in docs.iter().zip(tfs) {
+                            let (n, bytes) =
+                                packed.decode_block(b, prev, &mut dbuf, &mut fbuf);
+                            st.blocks_decoded += 1;
+                            st.postings_bytes_decoded += bytes;
+                            st.traversed += n as u64;
+                            for (&doc, &tf) in dbuf[..n].iter().zip(&fbuf[..n]) {
                                 let d = doc as usize;
                                 if s.stamps[d] != s.epoch {
                                     if skip_new {
@@ -848,60 +805,40 @@ impl InvertedIndex {
                                 }
                                 s.acc[d] += w * tf as f64;
                             }
+                            prev = i64::from(last);
                         }
                     }
                     ListRef::Entity(r) => {
                         let w = (1.0 - alpha) * r.eirf * r.eirf;
-                        if blocks {
-                            let packed = r.packed;
-                            let (bs, be) = packed.list_blocks(r.local);
-                            st.blocks_total += (be - bs) as u64;
-                            let mut prev = -1i64;
-                            for b in bs..be {
-                                let last = packed.last_doc[b];
-                                let prunable = skip_new
-                                    || theta.is_some_and(|t| {
-                                        (w * packed.max_score[b] + remaining[j + 1])
-                                            * (1.0 + 1e-9)
-                                            < t
-                                    });
-                                if prunable && !snapshot(&s.touched, (prev + 1) as u32, last) {
-                                    let count = packed.counts[b] as u64;
-                                    st.pruned += count;
-                                    st.postings_skipped += count;
-                                    st.blocks_skipped += 1;
-                                    prev = i64::from(last);
-                                    continue;
-                                }
-                                let (n, bytes) = packed.decode_entity_block(
-                                    b, prev, &mut dbuf, &mut fbuf, &mut wbuf,
-                                );
-                                st.blocks_decoded += 1;
-                                st.postings_bytes_decoded += bytes;
-                                st.traversed += n as u64;
-                                for ((&doc, &ef), &we) in
-                                    dbuf[..n].iter().zip(&fbuf[..n]).zip(&wbuf[..n])
-                                {
-                                    let d = doc as usize;
-                                    if s.stamps[d] != s.epoch {
-                                        if skip_new {
-                                            st.pruned += 1;
-                                            continue;
-                                        }
-                                        s.stamps[d] = s.epoch;
-                                        s.acc[d] = 0.0;
-                                        s.touched.push(doc);
-                                    }
-                                    s.acc[d] += w * ef as f64 * we;
-                                }
+                        let packed = r.packed;
+                        let (bs, be) = packed.list_blocks(r.local);
+                        st.blocks_total += (be - bs) as u64;
+                        let mut prev = -1i64;
+                        for b in bs..be {
+                            let last = packed.last_doc[b];
+                            let prunable = skip_new
+                                || theta.is_some_and(|t| {
+                                    (w * packed.max_score[b] + remaining[j + 1])
+                                        * (1.0 + 1e-9)
+                                        < t
+                                });
+                            if prunable && !snapshot(&s.touched, (prev + 1) as u32, last) {
+                                let count = packed.counts[b] as u64;
+                                st.pruned += count;
+                                st.postings_skipped += count;
+                                st.blocks_skipped += 1;
                                 prev = i64::from(last);
+                                continue;
                             }
-                        } else {
-                            let (docs, efs, wes) = self
-                                .entities
-                                .list(r.flat.expect("flat store when blocks are off"));
-                            st.traversed += docs.len() as u64;
-                            for ((&doc, &ef), &we) in docs.iter().zip(efs).zip(wes) {
+                            let (n, bytes) = packed.decode_entity_block(
+                                b, prev, &mut dbuf, &mut fbuf, &mut wbuf,
+                            );
+                            st.blocks_decoded += 1;
+                            st.postings_bytes_decoded += bytes;
+                            st.traversed += n as u64;
+                            for ((&doc, &ef), &we) in
+                                dbuf[..n].iter().zip(&fbuf[..n]).zip(&wbuf[..n])
+                            {
                                 let d = doc as usize;
                                 if s.stamps[d] != s.epoch {
                                     if skip_new {
@@ -914,6 +851,7 @@ impl InvertedIndex {
                                 }
                                 s.acc[d] += w * ef as f64 * we;
                             }
+                            prev = i64::from(last);
                         }
                     }
                 }

@@ -115,8 +115,7 @@ fn validate_side(
 
 impl MappedStore {
     /// Builds and validates a mapped store over `shards`, which must tile
-    /// both id spaces contiguously from 0 (the same contract as
-    /// [`InvertedIndex::from_shards`]).
+    /// both id spaces contiguously from 0, in shard order.
     pub(crate) fn new(shards: Vec<MappedShardView>, doc_count: usize) -> Result<Self, String> {
         check(!shards.is_empty(), || "mapped: empty shard sequence".into())?;
         let (mut t_next, mut e_next) = (0u32, 0u32);

@@ -1,22 +1,20 @@
-//! Raw-parts export/import of the interned CSR state.
+//! Raw-parts export of the interned CSR state.
 //!
-//! The snapshot store (`rightcrowd-store`) persists an [`InvertedIndex`]
-//! verbatim: vocabularies in dense-id order, CSR offsets, posting arrays
-//! and the precomputed `irf`/`eirf`/`we`/bound tables. [`IndexParts`] is
-//! that wire-facing view. Exporting is loss-free and deterministic (the
-//! interning `HashMap`s are inverted into id-ordered vectors, never
-//! iterated), and importing re-validates every CSR invariant the scoring
-//! paths rely on, so a corrupted snapshot that survives its checksums is
-//! still rejected with an error instead of corrupting a query.
+//! [`IndexParts`] is the canonical, backing-independent view of an
+//! [`InvertedIndex`]: vocabularies in dense-id order, CSR offsets,
+//! posting arrays and the precomputed `irf`/`eirf`/`we`/bound tables.
+//! The snapshot store slices it into shards ([`InvertedIndex::to_shards`])
+//! and `PartialEq` compares it whenever a mapped index is involved.
+//! Exporting is loss-free and deterministic (the interning `HashMap`s
+//! are inverted into id-ordered vectors, never iterated).
 
 use crate::block::BLOCK_SIZE;
-use crate::index::{EntityTable, InvertedIndex, TermTable};
+use crate::index::InvertedIndex;
 use crate::mapped::MappedStore;
 use rightcrowd_types::EntityId;
-use std::collections::HashMap;
 
 /// The term side of [`IndexParts`]: vocabulary in dense term-id order plus
-/// the CSR arrays of [`TermTable`].
+/// the CSR arrays of the index's term table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TermParts {
     /// `vocab[id]` is the term interned as dense id `id`.
@@ -33,7 +31,7 @@ pub struct TermParts {
     pub max_tf: Vec<u32>,
 }
 
-/// The entity side of [`IndexParts`], mirroring [`EntityTable`].
+/// The entity side of [`IndexParts`], mirroring the entity table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntityParts {
     /// `vocab[id]` is the entity interned as dense slot `id`.
@@ -52,8 +50,8 @@ pub struct EntityParts {
     pub max_contrib: Vec<f64>,
 }
 
-/// The complete interned state of an [`InvertedIndex`], exported for
-/// serialisation and re-imported with full invariant validation.
+/// The complete interned state of an [`InvertedIndex`], exported in
+/// dense-id order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexParts {
     /// The term side.
@@ -62,70 +60,6 @@ pub struct IndexParts {
     pub entities: EntityParts,
     /// Term length per document (the collection size `N` is its length).
     pub doc_lens: Vec<u32>,
-}
-
-fn check(ok: bool, msg: &str) -> Result<(), String> {
-    if ok {
-        Ok(())
-    } else {
-        Err(msg.to_owned())
-    }
-}
-
-/// Validates one CSR family: offsets shape, per-list ascending docs in
-/// range, and parallel-array lengths.
-fn validate_csr(
-    side: &str,
-    vocab_len: usize,
-    offsets: &[u64],
-    docs: &[u32],
-    parallel: &[(&str, usize)],
-    doc_count: usize,
-) -> Result<Vec<usize>, String> {
-    check(
-        offsets.len() == vocab_len + 1,
-        &format!("{side}: offsets length {} != vocab length {} + 1", offsets.len(), vocab_len),
-    )?;
-    let mut out = Vec::with_capacity(offsets.len());
-    let mut prev = 0u64;
-    for (i, &o) in offsets.iter().enumerate() {
-        if i == 0 {
-            check(o == 0, &format!("{side}: offsets[0] must be 0, got {o}"))?;
-        }
-        check(o >= prev, &format!("{side}: offsets not ascending at {i}"))?;
-        prev = o;
-        out.push(usize::try_from(o).map_err(|_| format!("{side}: offset {o} overflows usize"))?);
-    }
-    check(
-        prev == docs.len() as u64,
-        &format!("{side}: final offset {prev} != postings length {}", docs.len()),
-    )?;
-    for &(name, len) in parallel {
-        check(
-            len == docs.len(),
-            &format!("{side}: {name} length {len} != postings length {}", docs.len()),
-        )?;
-    }
-    for w in out.windows(2) {
-        let list = &docs[w[0]..w[1]];
-        for pair in list.windows(2) {
-            check(pair[0] < pair[1], &format!("{side}: postings not strictly ascending"))?;
-        }
-        if let Some(&last) = list.last() {
-            check(
-                (last as usize) < doc_count,
-                &format!("{side}: posting doc {last} out of range (doc count {doc_count})"),
-            )?;
-        }
-    }
-    Ok(out)
-}
-
-fn check_finite(side: &str, name: &str, values: &[f64]) -> Result<(), String> {
-    check(
-        values.iter().all(|v| v.is_finite()),
-        &format!("{side}: non-finite value in {name}"),
-    )
 }
 
 impl InvertedIndex {
@@ -226,88 +160,12 @@ impl InvertedIndex {
         }
         IndexParts { terms, entities, doc_lens: self.doc_lens.clone() }
     }
-
-    /// Rebuilds an index from exported parts, re-validating every CSR
-    /// invariant (offset shape, ascending in-range postings, parallel
-    /// array lengths, finite weights, duplicate-free vocabularies). The
-    /// result is `==` to the index the parts were exported from.
-    pub fn from_parts(parts: IndexParts) -> Result<Self, String> {
-        let doc_count = parts.doc_lens.len();
-        let t = &parts.terms;
-        let term_offsets = validate_csr(
-            "terms",
-            t.vocab.len(),
-            &t.offsets,
-            &t.docs,
-            &[("tfs", t.tfs.len())],
-            doc_count,
-        )?;
-        check(
-            t.irf.len() == t.vocab.len() && t.max_tf.len() == t.vocab.len(),
-            "terms: irf/max_tf length != vocab length",
-        )?;
-        check_finite("terms", "irf", &t.irf)?;
-        check(t.tfs.iter().all(|&tf| tf > 0), "terms: zero term frequency")?;
-
-        let e = &parts.entities;
-        let entity_offsets = validate_csr(
-            "entities",
-            e.vocab.len(),
-            &e.offsets,
-            &e.docs,
-            &[("efs", e.efs.len()), ("we", e.we.len())],
-            doc_count,
-        )?;
-        check(
-            e.eirf.len() == e.vocab.len() && e.max_contrib.len() == e.vocab.len(),
-            "entities: eirf/max_contrib length != vocab length",
-        )?;
-        check_finite("entities", "we", &e.we)?;
-        check_finite("entities", "eirf", &e.eirf)?;
-        check_finite("entities", "max_contrib", &e.max_contrib)?;
-        check(e.efs.iter().all(|&ef| ef > 0), "entities: zero entity frequency")?;
-
-        let mut term_ids: HashMap<String, u32> = HashMap::with_capacity(t.vocab.len());
-        for (id, term) in t.vocab.iter().enumerate() {
-            if term_ids.insert(term.clone(), id as u32).is_some() {
-                return Err(format!("terms: duplicate vocabulary entry {term:?}"));
-            }
-        }
-        let mut entity_ids: HashMap<EntityId, u32> = HashMap::with_capacity(e.vocab.len());
-        for (id, &entity) in e.vocab.iter().enumerate() {
-            if entity_ids.insert(entity, id as u32).is_some() {
-                return Err(format!("entities: duplicate vocabulary entry {entity}"));
-            }
-        }
-
-        Ok(InvertedIndex::assemble(
-            TermTable {
-                ids: term_ids,
-                offsets: term_offsets,
-                docs: parts.terms.docs,
-                tfs: parts.terms.tfs,
-                irf: parts.terms.irf,
-                max_tf: parts.terms.max_tf,
-            },
-            EntityTable {
-                ids: entity_ids,
-                offsets: entity_offsets,
-                docs: parts.entities.docs,
-                efs: parts.entities.efs,
-                we: parts.entities.we,
-                eirf: parts.entities.eirf,
-                max_contrib: parts.entities.max_contrib,
-            },
-            parts.doc_lens,
-        ))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::IndexBuilder;
-    use crate::query::Query;
 
     fn sample() -> InvertedIndex {
         let mut b = IndexBuilder::new();
@@ -319,16 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_is_identity() {
-        let idx = sample();
-        let rebuilt = InvertedIndex::from_parts(idx.to_parts()).unwrap();
-        assert_eq!(idx, rebuilt);
-        // Scoring parity, bit for bit.
-        let q = Query { terms: vec!["swim".into(), "cook".into()], entities: vec![EntityId::new(3)] };
-        assert_eq!(idx.score_all(&q, 0.6), rebuilt.score_all(&q, 0.6));
-    }
-
-    #[test]
     fn export_is_deterministic() {
         // HashMap iteration order varies run to run; the export must not.
         let a = sample().to_parts();
@@ -336,39 +184,5 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.terms.vocab.windows(2).all(|w| w[0] < w[1]), "terms interned lexicographically");
         assert!(a.entities.vocab.windows(2).all(|w| w[0] < w[1]), "entities interned ascending");
-    }
-
-    #[test]
-    fn rejects_broken_invariants() {
-        let good = sample().to_parts();
-
-        let mut p = good.clone();
-        p.terms.offsets[1] = 999;
-        assert!(InvertedIndex::from_parts(p).unwrap_err().contains("offsets"));
-
-        let mut p = good.clone();
-        p.terms.docs.swap(0, 1);
-        // Either ordering or range breaks, depending on the list layout.
-        assert!(InvertedIndex::from_parts(p).is_err());
-
-        let mut p = good.clone();
-        p.entities.we[0] = f64::NAN;
-        assert!(InvertedIndex::from_parts(p).unwrap_err().contains("non-finite"));
-
-        let mut p = good.clone();
-        p.terms.vocab[0] = p.terms.vocab[1].clone();
-        assert!(InvertedIndex::from_parts(p).unwrap_err().contains("duplicate"));
-
-        let mut p = good.clone();
-        p.doc_lens.pop();
-        assert!(InvertedIndex::from_parts(p).unwrap_err().contains("out of range"));
-
-        let mut p = good.clone();
-        p.terms.tfs[0] = 0;
-        assert!(InvertedIndex::from_parts(p).unwrap_err().contains("zero term frequency"));
-
-        let mut p = good;
-        p.entities.eirf.pop();
-        assert!(InvertedIndex::from_parts(p).is_err());
     }
 }

@@ -11,16 +11,13 @@
 //!
 //! Partitioning balances postings mass, not vocabulary size: shard
 //! boundaries are chosen so each shard holds ≈ `1/N` of the posting
-//! entries of its side, which is what makes a parallel load divide the
-//! decode work evenly. [`InvertedIndex::from_shards`] re-validates every
-//! cross-shard invariant (coverage from 0, no gap, no overlap, declared
-//! range ↔ slice shapes) before splicing, then runs the full
-//! [`InvertedIndex::from_parts`] CSR validation on the reassembled state,
-//! so a forged shard set is rejected with an error, never spliced into a
-//! corrupt index.
+//! entries of its side, which is what makes a parallel open divide the
+//! verification work evenly. The store writes each shard as one mapped
+//! file; opening validates the shard views' tiling and shapes
+//! (`MappedStore::new`) before any block is decoded.
 
 use crate::index::InvertedIndex;
-use crate::raw::{EntityParts, IndexParts, TermParts};
+use crate::raw::{EntityParts, TermParts};
 
 /// One contiguous slice of the index: the `index`-th of `count` shards.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,45 +92,11 @@ fn slice_entities(e: &EntityParts, lo: u32, hi: u32) -> EntityParts {
     }
 }
 
-fn check(ok: bool, msg: String) -> Result<(), String> {
-    if ok {
-        Ok(())
-    } else {
-        Err(msg)
-    }
-}
-
-/// Validates that the declared ranges of a shard sequence tile an id
-/// space exactly: start at 0, no gap, no overlap, ascending.
-fn validate_tiling(side: &str, ranges: &[(u32, u32)]) -> Result<u32, String> {
-    let mut expected = 0u32;
-    for (i, &(lo, hi)) in ranges.iter().enumerate() {
-        check(
-            hi >= lo,
-            format!("{side}: shard {i} range [{lo}, {hi}) is inverted"),
-        )?;
-        check(
-            lo >= expected,
-            format!(
-                "{side}: shard {i} range [{lo}, {hi}) overlaps the previous shard (expected lo {expected})"
-            ),
-        )?;
-        check(
-            lo <= expected,
-            format!(
-                "{side}: gap before shard {i} — ids [{expected}, {lo}) are covered by no shard"
-            ),
-        )?;
-        expected = hi;
-    }
-    Ok(expected)
-}
-
 impl InvertedIndex {
     /// Partitions the index into `shards` contiguous per-term-range (and
     /// per-entity-range) slices, each side balanced by postings mass.
-    /// `shards` is clamped to at least 1. The output reassembles to an
-    /// index `==` to `self` via [`InvertedIndex::from_shards`].
+    /// `shards` is clamped to at least 1. Concatenating the slices in
+    /// order (offsets re-based) gives back [`InvertedIndex::to_parts`].
     pub fn to_shards(&self, shards: usize) -> Vec<IndexShard> {
         let n = shards.max(1);
         let parts = self.to_parts();
@@ -152,108 +115,12 @@ impl InvertedIndex {
             })
             .collect()
     }
-
-    /// Reassembles an index from a complete, in-order shard sequence plus
-    /// the per-document term lengths.
-    ///
-    /// Cross-shard invariants are checked first — sequential shard
-    /// indices, ranges tiling both id spaces from 0 with no gap or
-    /// overlap, every slice shaped exactly as its declared range — then
-    /// the spliced state runs the full [`InvertedIndex::from_parts`] CSR
-    /// validation. Any violation is a descriptive `Err`, never a panic.
-    pub fn from_shards(shards: Vec<IndexShard>, doc_lens: Vec<u32>) -> Result<Self, String> {
-        check(!shards.is_empty(), "shards: empty shard sequence".to_string())?;
-        for (i, s) in shards.iter().enumerate() {
-            check(
-                s.index == i as u32,
-                format!("shards: shard at position {i} declares index {}", s.index),
-            )?;
-        }
-        let term_ranges: Vec<_> = shards.iter().map(|s| s.term_range).collect();
-        let entity_ranges: Vec<_> = shards.iter().map(|s| s.entity_range).collect();
-        validate_tiling("terms", &term_ranges)?;
-        validate_tiling("entities", &entity_ranges)?;
-
-        for s in &shards {
-            let i = s.index;
-            let t_len = (s.term_range.1 - s.term_range.0) as usize;
-            check(
-                s.terms.vocab.len() == t_len && s.terms.offsets.len() == t_len + 1,
-                format!(
-                    "terms: shard {i} slice shape (vocab {}, offsets {}) disagrees with range [{}, {})",
-                    s.terms.vocab.len(),
-                    s.terms.offsets.len(),
-                    s.term_range.0,
-                    s.term_range.1
-                ),
-            )?;
-            check(
-                s.terms.offsets.first() == Some(&0),
-                format!("terms: shard {i} offsets are not rebased to 0"),
-            )?;
-            let e_len = (s.entity_range.1 - s.entity_range.0) as usize;
-            check(
-                s.entities.vocab.len() == e_len && s.entities.offsets.len() == e_len + 1,
-                format!(
-                    "entities: shard {i} slice shape (vocab {}, offsets {}) disagrees with range [{}, {})",
-                    s.entities.vocab.len(),
-                    s.entities.offsets.len(),
-                    s.entity_range.0,
-                    s.entity_range.1
-                ),
-            )?;
-            check(
-                s.entities.offsets.first() == Some(&0),
-                format!("entities: shard {i} offsets are not rebased to 0"),
-            )?;
-        }
-
-        // Splice. Offsets re-base onto the running postings totals; the
-        // leading 0 of every shard after the first is dropped.
-        let mut terms = TermParts {
-            vocab: Vec::new(),
-            offsets: vec![0],
-            docs: Vec::new(),
-            tfs: Vec::new(),
-            irf: Vec::new(),
-            max_tf: Vec::new(),
-        };
-        let mut entities = EntityParts {
-            vocab: Vec::new(),
-            offsets: vec![0],
-            docs: Vec::new(),
-            efs: Vec::new(),
-            we: Vec::new(),
-            eirf: Vec::new(),
-            max_contrib: Vec::new(),
-        };
-        for s in shards {
-            let t_base = terms.docs.len() as u64;
-            terms.offsets.extend(s.terms.offsets[1..].iter().map(|&o| o + t_base));
-            terms.vocab.extend(s.terms.vocab);
-            terms.docs.extend(s.terms.docs);
-            terms.tfs.extend(s.terms.tfs);
-            terms.irf.extend(s.terms.irf);
-            terms.max_tf.extend(s.terms.max_tf);
-
-            let e_base = entities.docs.len() as u64;
-            entities.offsets.extend(s.entities.offsets[1..].iter().map(|&o| o + e_base));
-            entities.vocab.extend(s.entities.vocab);
-            entities.docs.extend(s.entities.docs);
-            entities.efs.extend(s.entities.efs);
-            entities.we.extend(s.entities.we);
-            entities.eirf.extend(s.entities.eirf);
-            entities.max_contrib.extend(s.entities.max_contrib);
-        }
-        InvertedIndex::from_parts(IndexParts { terms, entities, doc_lens })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::IndexBuilder;
-    use crate::query::Query;
     use rightcrowd_types::EntityId;
 
     fn sample() -> InvertedIndex {
@@ -266,24 +133,61 @@ mod tests {
         b.build()
     }
 
-    fn doc_lens(idx: &InvertedIndex) -> Vec<u32> {
-        idx.to_parts().doc_lens
+    /// Concatenates shard slices back into whole-index parts, re-basing
+    /// each shard's offsets onto the running postings totals.
+    fn concat(shards: &[IndexShard]) -> (TermParts, EntityParts) {
+        let mut t = TermParts {
+            vocab: vec![],
+            offsets: vec![0],
+            docs: vec![],
+            tfs: vec![],
+            irf: vec![],
+            max_tf: vec![],
+        };
+        let mut e = EntityParts {
+            vocab: vec![],
+            offsets: vec![0],
+            docs: vec![],
+            efs: vec![],
+            we: vec![],
+            eirf: vec![],
+            max_contrib: vec![],
+        };
+        for s in shards {
+            let base = t.docs.len() as u64;
+            t.offsets.extend(s.terms.offsets[1..].iter().map(|&o| o + base));
+            t.vocab.extend(s.terms.vocab.iter().cloned());
+            t.docs.extend(&s.terms.docs);
+            t.tfs.extend(&s.terms.tfs);
+            t.irf.extend(&s.terms.irf);
+            t.max_tf.extend(&s.terms.max_tf);
+            let base = e.docs.len() as u64;
+            e.offsets.extend(s.entities.offsets[1..].iter().map(|&o| o + base));
+            e.vocab.extend(&s.entities.vocab);
+            e.docs.extend(&s.entities.docs);
+            e.efs.extend(&s.entities.efs);
+            e.we.extend(&s.entities.we);
+            e.eirf.extend(&s.entities.eirf);
+            e.max_contrib.extend(&s.entities.max_contrib);
+        }
+        (t, e)
     }
 
     #[test]
-    fn roundtrip_is_identity_for_many_shard_counts() {
+    fn shards_concatenate_back_to_the_parts_for_many_counts() {
         let idx = sample();
-        let lens = doc_lens(&idx);
+        let parts = idx.to_parts();
         for n in [1, 2, 3, 5, 7, 64] {
             let shards = idx.to_shards(n);
             assert_eq!(shards.len(), n, "shard count {n}");
-            let rebuilt = InvertedIndex::from_shards(shards, lens.clone()).unwrap();
-            assert_eq!(idx, rebuilt, "shard count {n}");
-            let q = Query {
-                terms: vec!["swim".into(), "cook".into()],
-                entities: vec![EntityId::new(3)],
-            };
-            assert_eq!(idx.score_all(&q, 0.6), rebuilt.score_all(&q, 0.6), "shard count {n}");
+            for (i, s) in shards.iter().enumerate() {
+                assert_eq!(s.index, i as u32);
+                assert_eq!(s.terms.offsets.first(), Some(&0), "shard {i} offsets rebased");
+                assert_eq!(s.entities.offsets.first(), Some(&0), "shard {i} offsets rebased");
+            }
+            let (terms, entities) = concat(&shards);
+            assert_eq!(terms, parts.terms, "shard count {n}");
+            assert_eq!(entities, parts.entities, "shard count {n}");
         }
     }
 
@@ -313,72 +217,8 @@ mod tests {
         assert_eq!(shards.len(), 64);
         let non_empty = shards.iter().filter(|s| !s.terms.vocab.is_empty()).count();
         assert!(non_empty <= 8);
-        let rebuilt = InvertedIndex::from_shards(shards, doc_lens(&idx)).unwrap();
-        assert_eq!(idx, rebuilt);
-    }
-
-    #[test]
-    fn rejects_gapped_overlapping_and_misordered_shards() {
-        let idx = sample();
-        let lens = doc_lens(&idx);
-
-        // Dropping a middle shard leaves a gap.
-        let mut shards = idx.to_shards(3);
-        shards.remove(1);
-        shards[1].index = 1;
-        let err = InvertedIndex::from_shards(shards, lens.clone()).unwrap_err();
-        assert!(err.contains("gap"), "{err}");
-
-        // Duplicating a shard overlaps.
-        let mut shards = idx.to_shards(3);
-        let dup = shards[1].clone();
-        shards.insert(1, dup);
-        for (i, s) in shards.iter_mut().enumerate() {
-            s.index = i as u32;
-        }
-        let err = InvertedIndex::from_shards(shards, lens.clone()).unwrap_err();
-        assert!(err.contains("overlap"), "{err}");
-
-        // Out-of-sequence indices are refused before any splicing.
-        let mut shards = idx.to_shards(2);
-        shards.swap(0, 1);
-        let err = InvertedIndex::from_shards(shards, lens.clone()).unwrap_err();
-        assert!(err.contains("declares index"), "{err}");
-
-        // Empty input.
-        let err = InvertedIndex::from_shards(Vec::new(), lens).unwrap_err();
-        assert!(err.contains("empty"), "{err}");
-    }
-
-    #[test]
-    fn rejects_malformed_slices() {
-        let idx = sample();
-        let lens = doc_lens(&idx);
-
-        // A slice whose shape disagrees with its declared range.
-        let mut shards = idx.to_shards(2);
-        shards[0].terms.vocab.pop();
-        shards[0].terms.irf.pop();
-        shards[0].terms.max_tf.pop();
-        let err = InvertedIndex::from_shards(shards, lens.clone()).unwrap_err();
-        assert!(err.contains("slice shape"), "{err}");
-
-        // Offsets not rebased to 0.
-        let mut shards = idx.to_shards(2);
-        for o in &mut shards[1].terms.offsets {
-            *o += 5;
-        }
-        let err = InvertedIndex::from_shards(shards, lens.clone()).unwrap_err();
-        assert!(err.contains("rebased"), "{err}");
-
-        // Structural damage inside a shard is caught by the post-splice
-        // from_parts validation.
-        let mut shards = idx.to_shards(2);
-        if let Some(tf) = shards[1].terms.tfs.first_mut() {
-            *tf = 0;
-        }
-        let err = InvertedIndex::from_shards(shards, lens).unwrap_err();
-        assert!(err.contains("zero term frequency"), "{err}");
+        let (terms, _) = concat(&shards);
+        assert_eq!(terms, idx.to_parts().terms);
     }
 
     #[test]

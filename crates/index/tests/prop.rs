@@ -224,7 +224,6 @@ fn multi_block_top_k_is_bit_identical_and_counters_balance() {
                     "alpha {alpha}, k {k}: every block is decoded or skipped whole"
                 );
                 assert!(stats.postings_skipped <= stats.pruned, "alpha {alpha}, k {k}");
-                #[cfg(not(feature = "blocks-off"))]
                 assert!(stats.blocks_total > 0, "400-doc lists must span blocks");
             }
         }

@@ -61,20 +61,20 @@ pub enum CounterId {
     /// Gauge (written with [`set`]): traversal shapes currently resident
     /// in the `AttributionCache`.
     AttributionShapesResident,
-    /// Bytes written by `store::save` (container header + sections).
+    /// Bytes written by `store::save_sharded` (manifest plus every shard).
     SnapshotBytesWritten,
-    /// Bytes read and checksum-validated by `store::load` (whole
-    /// container) and `store::load_sharded` (manifest only; shard files
-    /// count under `ShardBytesRead`). Cumulative across *every* load in
+    /// Manifest bytes read and checksum-validated by
+    /// `store::load_sharded` and `store::open_mapped` (shard files count
+    /// under `ShardBytesRead`). Cumulative across *every* load in
     /// the process: a benchmark that loads the same snapshot `r` times
     /// reads `r ×` its size. Multi-phase measurements that want per-phase
     /// deltas instead of process totals snapshot and then call
     /// [`reset_counters`] between phases (as `rc bench` does between its
     /// store and query phases).
     SnapshotBytesRead,
-    /// Shard files decoded + digest-verified by `store::load_sharded`.
+    /// Shard files opened by `store::load_sharded` and `store::open_mapped`.
     ShardsLoaded,
-    /// Bytes read and digest-validated across all shard files by
+    /// Shard bytes digest-validated by cold opens and mapped by
     /// `store::load_sharded` (the manifest is counted under
     /// `SnapshotBytesRead`).
     ShardBytesRead,

@@ -25,21 +25,18 @@ pub enum HistId {
     AnalyzeDocLatency,
     /// Full evidence-walk latency of one `Attribution::compute`.
     AttributionComputeLatency,
-    /// Full `store::load` latency: read + checksum + reconstruction.
+    /// Full `store::load_sharded` latency: manifest read + checksum +
+    /// study decode + every shard's verify-then-map open.
     SnapshotLoadLatency,
-    /// Per-shard decode + digest-verify latency inside
-    /// `store::load_sharded` (recorded from `par_map` workers).
-    ShardLoadLatency,
 }
 
 impl HistId {
     /// Every histogram, in rendering order.
-    pub const ALL: [HistId; 5] = [
+    pub const ALL: [HistId; 4] = [
         HistId::QueryLatency,
         HistId::AnalyzeDocLatency,
         HistId::AttributionComputeLatency,
         HistId::SnapshotLoadLatency,
-        HistId::ShardLoadLatency,
     ];
 
     /// The histogram's snake_case name (JSON key and table label).
@@ -49,7 +46,6 @@ impl HistId {
             HistId::AnalyzeDocLatency => "analyze_doc_latency",
             HistId::AttributionComputeLatency => "attribution_compute_latency",
             HistId::SnapshotLoadLatency => "snapshot_load_latency",
-            HistId::ShardLoadLatency => "shard_load_latency",
         }
     }
 }
@@ -275,7 +271,7 @@ pub struct HistogramSummary {
 
 #[cfg(not(feature = "obs-off"))]
 static HISTS: [Histogram; HistId::ALL.len()] =
-    [Histogram::new(), Histogram::new(), Histogram::new(), Histogram::new(), Histogram::new()];
+    [Histogram::new(), Histogram::new(), Histogram::new(), Histogram::new()];
 
 /// Records `ns` into a global histogram (a no-op under `obs-off`).
 #[inline]

@@ -429,18 +429,18 @@ mod tests {
         let s = Sampler::with_capacity(16);
         let mut injected = 0u64;
         for i in 0..5u64 {
-            hist::record_ns(HistId::ShardLoadLatency, 1_000 * (i + 1));
+            hist::record_ns(HistId::SnapshotLoadLatency, 1_000 * (i + 1));
             injected += 1;
             s.sample();
         }
         if crate::PROBES_ENABLED {
-            assert!(s.merged_hist(HistId::ShardLoadLatency).count >= injected);
+            assert!(s.merged_hist(HistId::SnapshotLoadLatency).count >= injected);
             assert_eq!(
                 s.total_counter(CounterId::AttributionShapesResident),
                 counter::get(CounterId::AttributionShapesResident)
             );
         } else {
-            assert_eq!(s.merged_hist(HistId::ShardLoadLatency).count, 0);
+            assert_eq!(s.merged_hist(HistId::SnapshotLoadLatency).count, 0);
         }
     }
 

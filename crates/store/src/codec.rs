@@ -2,7 +2,7 @@
 //!
 //! What travels through a snapshot is the *sampled* state only — the
 //! social graph, web pages, latent expertise, questionnaire answers,
-//! personas, the retained-document table and the CSR index. Compiled-in
+//! personas and the retained-document table. Compiled-in
 //! constants (knowledge base, query workload) are regenerated at load and
 //! cross-checked against fingerprints recorded in the `meta` section, so
 //! a snapshot from a build with a different KB seed is refused instead of
@@ -17,13 +17,12 @@ use crate::crc::Crc64;
 use crate::err::StoreError;
 use crate::wire::*;
 use rightcrowd_graph::{DocId, SocialGraph};
-use rightcrowd_index::{unpack_entities, unpack_terms, EntityParts, IndexParts, PackedPostings, TermParts};
 use rightcrowd_kb::KnowledgeBase;
 use rightcrowd_synth::config::{PlatformPools, PlatformVolume};
 use rightcrowd_synth::queries::ExpertiseNeed;
 use rightcrowd_synth::{DatasetConfig, LatentExpertise, Persona, WebCorpus};
 use rightcrowd_types::{
-    ContainerId, Domain, EntityId, Likert, PageId, PersonId, Platform, ResourceId, UserId,
+    ContainerId, Domain, Likert, PageId, PersonId, Platform, ResourceId, UserId,
 };
 
 /// Node counts recorded in `meta` and cross-checked against every decoded
@@ -596,304 +595,4 @@ pub fn decode_corpus(
     }
     c.finish("corpus")?;
     Ok((docs, dropped, doc_lens))
-}
-
-// ----- index ------------------------------------------------------------
-
-/// Encodes the term-side CSR postings.
-pub fn encode_term_index(t: &TermParts) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(
-        16 + t.vocab.iter().map(|s| s.len() + 8).sum::<usize>()
-            + t.offsets.len() * 8
-            + t.docs.len() * 8
-            + t.irf.len() * 8
-            + t.max_tf.len() * 4,
-    );
-    put_len(&mut buf, t.vocab.len());
-    for term in &t.vocab {
-        put_str(&mut buf, term);
-    }
-    put_len(&mut buf, t.offsets.len());
-    for &o in &t.offsets {
-        put_u64(&mut buf, o);
-    }
-    put_u32s(&mut buf, &t.docs);
-    put_u32s(&mut buf, &t.tfs);
-    put_len(&mut buf, t.irf.len());
-    for &v in &t.irf {
-        put_f64(&mut buf, v);
-    }
-    put_u32s(&mut buf, &t.max_tf);
-    buf
-}
-
-/// Decodes the term-side CSR postings (structural validation happens in
-/// `InvertedIndex::from_parts`).
-pub fn decode_term_index(payload: &[u8]) -> Result<TermParts, StoreError> {
-    let mut c = Cursor::new(payload);
-    let n_vocab = c.len(8)?;
-    let mut vocab = Vec::with_capacity(n_vocab);
-    for _ in 0..n_vocab {
-        vocab.push(c.str()?);
-    }
-    let offsets = {
-        let n = c.len(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(c.u64()?);
-        }
-        out
-    };
-    let docs = c.u32s()?;
-    let tfs = c.u32s()?;
-    let irf = c.f64s()?;
-    let max_tf = c.u32s()?;
-    c.finish("term_index")?;
-    Ok(TermParts { vocab, offsets, docs, tfs, irf, max_tf })
-}
-
-/// Encodes the entity-side CSR postings.
-pub fn encode_entity_index(e: &EntityParts) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(
-        16 + e.vocab.len() * 4 + e.offsets.len() * 8 + e.docs.len() * 16 + e.eirf.len() * 16,
-    );
-    put_len(&mut buf, e.vocab.len());
-    for id in &e.vocab {
-        put_u32(&mut buf, id.0);
-    }
-    put_len(&mut buf, e.offsets.len());
-    for &o in &e.offsets {
-        put_u64(&mut buf, o);
-    }
-    put_u32s(&mut buf, &e.docs);
-    put_u32s(&mut buf, &e.efs);
-    put_len(&mut buf, e.we.len());
-    for &v in &e.we {
-        put_f64(&mut buf, v);
-    }
-    put_len(&mut buf, e.eirf.len());
-    for &v in &e.eirf {
-        put_f64(&mut buf, v);
-    }
-    put_len(&mut buf, e.max_contrib.len());
-    for &v in &e.max_contrib {
-        put_f64(&mut buf, v);
-    }
-    buf
-}
-
-/// Decodes the entity-side CSR postings.
-pub fn decode_entity_index(payload: &[u8]) -> Result<EntityParts, StoreError> {
-    let mut c = Cursor::new(payload);
-    let n_vocab = c.len(4)?;
-    let mut vocab = Vec::with_capacity(n_vocab);
-    for _ in 0..n_vocab {
-        vocab.push(EntityId::new(c.u32()?));
-    }
-    let offsets = {
-        let n = c.len(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(c.u64()?);
-        }
-        out
-    };
-    let docs = c.u32s()?;
-    let efs = c.u32s()?;
-    let we = c.f64s()?;
-    let eirf = c.f64s()?;
-    let max_contrib = c.f64s()?;
-    c.finish("entity_index")?;
-    Ok(EntityParts { vocab, offsets, docs, efs, we, eirf, max_contrib })
-}
-
-/// Rebuilds [`IndexParts`] from the two index sections plus the corpus
-/// section's `doc_lens`.
-pub fn assemble_index_parts(terms: TermParts, entities: EntityParts, doc_lens: Vec<u32>) -> IndexParts {
-    IndexParts { terms, entities, doc_lens }
-}
-
-// ----- block postings ---------------------------------------------------
-//
-// The `FLAG_BLOCK_POSTINGS` sections replace the flat CSR arrays with the
-// in-memory block-compressed layout: per-list vocab + precomputed idf, then
-// the `PackedPostings` arrays verbatim. `max_tf`/`max_contrib` do NOT
-// travel — they are re-derived from the verified per-block maxima on
-// decode, which both shrinks the section and removes a forgeable field.
-
-fn put_packed(buf: &mut Vec<u8>, p: &PackedPostings) {
-    put_u32s(buf, &p.block_offsets);
-    put_u32s(buf, &p.last_doc);
-    put_u32s(buf, &p.counts);
-    put_blob(buf, &p.doc_bits);
-    put_blob(buf, &p.aux_bits);
-    put_len(buf, p.max_score.len());
-    for &v in p.max_score.iter() {
-        put_f64(buf, v);
-    }
-    put_len(buf, p.data_offsets.len());
-    for &o in p.data_offsets.iter() {
-        put_u64(buf, o);
-    }
-    put_blob(buf, &p.data);
-}
-
-fn read_packed(c: &mut Cursor) -> Result<PackedPostings, StoreError> {
-    Ok(PackedPostings {
-        block_offsets: c.u32s()?.into(),
-        last_doc: c.u32s()?.into(),
-        counts: c.u32s()?.into(),
-        doc_bits: c.blob()?.into(),
-        aux_bits: c.blob()?.into(),
-        max_score: c.f64s()?.into(),
-        data_offsets: c.u64s()?.into(),
-        data: c.blob()?.into(),
-    })
-}
-
-fn packed_wire_len(p: &PackedPostings) -> usize {
-    72 + (p.block_offsets.len() + p.last_doc.len() + p.counts.len()) * 4
-        + p.doc_bits.len()
-        + p.aux_bits.len()
-        + (p.max_score.len() + p.data_offsets.len()) * 8
-        + p.data.len()
-}
-
-/// Encodes the term-side block-compressed postings.
-pub fn encode_term_blocks(vocab: &[String], irf: &[f64], p: &PackedPostings) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(
-        16 + vocab.iter().map(|s| s.len() + 8).sum::<usize>() + irf.len() * 8 + packed_wire_len(p),
-    );
-    put_len(&mut buf, vocab.len());
-    for term in vocab {
-        put_str(&mut buf, term);
-    }
-    put_len(&mut buf, irf.len());
-    for &v in irf {
-        put_f64(&mut buf, v);
-    }
-    put_packed(&mut buf, p);
-    buf
-}
-
-/// Decodes the term-side block sections back to flat [`TermParts`]
-/// (every block is delta-decoded and cross-checked against its metadata;
-/// structural CSR validation still happens in `InvertedIndex::from_parts`).
-pub fn decode_term_blocks(payload: &[u8]) -> Result<TermParts, StoreError> {
-    let mut c = Cursor::new(payload);
-    let n_vocab = c.len(8)?;
-    let mut vocab = Vec::with_capacity(n_vocab);
-    for _ in 0..n_vocab {
-        vocab.push(c.str()?);
-    }
-    let irf = c.f64s()?;
-    let p = read_packed(&mut c)?;
-    c.finish("term_blocks")?;
-    let (offsets, docs, tfs, max_tf) =
-        unpack_terms(&p, vocab.len()).map_err(|e| corrupt(format!("term_blocks: {e}")))?;
-    Ok(TermParts { vocab, offsets, docs, tfs, irf, max_tf })
-}
-
-/// Encodes the entity-side block-compressed postings (Eq. 2 weights ride
-/// inside the block payloads as raw bit patterns).
-pub fn encode_entity_blocks(vocab: &[EntityId], eirf: &[f64], p: &PackedPostings) -> Vec<u8> {
-    let mut buf =
-        Vec::with_capacity(16 + vocab.len() * 4 + eirf.len() * 8 + packed_wire_len(p));
-    put_len(&mut buf, vocab.len());
-    for id in vocab {
-        put_u32(&mut buf, id.0);
-    }
-    put_len(&mut buf, eirf.len());
-    for &v in eirf {
-        put_f64(&mut buf, v);
-    }
-    put_packed(&mut buf, p);
-    buf
-}
-
-/// Decodes the entity-side block sections back to flat [`EntityParts`].
-pub fn decode_entity_blocks(payload: &[u8]) -> Result<EntityParts, StoreError> {
-    let mut c = Cursor::new(payload);
-    let n_vocab = c.len(4)?;
-    let mut vocab = Vec::with_capacity(n_vocab);
-    for _ in 0..n_vocab {
-        vocab.push(EntityId::new(c.u32()?));
-    }
-    let eirf = c.f64s()?;
-    let p = read_packed(&mut c)?;
-    c.finish("entity_blocks")?;
-    let (offsets, docs, efs, we, max_contrib) =
-        unpack_entities(&p, vocab.len()).map_err(|e| corrupt(format!("entity_blocks: {e}")))?;
-    Ok(EntityParts { vocab, offsets, docs, efs, we, eirf, max_contrib })
-}
-
-#[cfg(test)]
-mod block_tests {
-    use super::*;
-    use rightcrowd_index::{pack_entity_parts, pack_term_parts};
-
-    fn term_parts() -> TermParts {
-        TermParts {
-            vocab: vec!["swim".into(), "pool".into()],
-            offsets: vec![0, 3, 4],
-            docs: vec![0, 2, 200, 1],
-            tfs: vec![2, 1, 7, 3],
-            irf: vec![1.25, 0.5],
-            max_tf: vec![7, 3],
-        }
-    }
-
-    fn entity_parts() -> EntityParts {
-        EntityParts {
-            vocab: vec![EntityId::new(4), EntityId::new(9)],
-            offsets: vec![0, 2, 3],
-            docs: vec![1, 5, 0],
-            efs: vec![1, 4, 2],
-            we: vec![1.5, 1.0, -0.0],
-            eirf: vec![2.0, 0.75],
-            max_contrib: vec![4.0, -0.0],
-        }
-    }
-
-    #[test]
-    fn term_blocks_roundtrip() {
-        let t = term_parts();
-        let packed = pack_term_parts(&t);
-        let bytes = encode_term_blocks(&t.vocab, &t.irf, &packed);
-        assert_eq!(decode_term_blocks(&bytes).unwrap(), t);
-    }
-
-    #[test]
-    fn entity_blocks_roundtrip_is_bit_exact() {
-        let e = entity_parts();
-        let packed = pack_entity_parts(&e);
-        let bytes = encode_entity_blocks(&e.vocab, &e.eirf, &packed);
-        let got = decode_entity_blocks(&bytes).unwrap();
-        assert_eq!(got, e);
-        // -0.0 must survive as -0.0 in the weights themselves (PartialEq
-        // would accept +0.0). The re-derived list bound folds from 0.0 and
-        // may normalise the sign; it only has to be ==-equal.
-        assert_eq!(got.we[2].to_bits(), (-0.0f64).to_bits());
-    }
-
-    #[test]
-    fn forged_block_metadata_is_corrupt() {
-        let t = term_parts();
-        let mut packed = pack_term_parts(&t);
-        packed.max_score[0] += 1.0; // inflate a block bound
-        let bytes = encode_term_blocks(&t.vocab, &t.irf, &packed);
-        match decode_term_blocks(&bytes) {
-            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("term_blocks"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_in_block_sections_are_corrupt() {
-        let t = term_parts();
-        let packed = pack_term_parts(&t);
-        let mut bytes = encode_term_blocks(&t.vocab, &t.irf, &packed);
-        bytes.push(0);
-        assert!(matches!(decode_term_blocks(&bytes), Err(StoreError::Corrupt(_))));
-    }
 }

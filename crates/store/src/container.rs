@@ -1,19 +1,17 @@
 //! The container envelope: magic, version, section table, checksums.
 //!
-//! The same envelope carries three file kinds, distinguished only by
-//! their 8-byte magic: monolithic snapshots (`RCSNAP01`), sharded-snapshot
-//! manifests (`RCMANI01`), and postings shards (`RCSHRD01`). There is one
-//! streaming decoder, [`read_container_with`]; the magic and the
-//! [`Integrity`] policy are its only parameters.
+//! The sharded-snapshot manifest (`RCMANI01`) is written in this
+//! envelope; the `RCSHRD02` shard files have a fixed, alignment-padded
+//! layout of their own (see [`crate::mapped`]). There is one streaming
+//! decoder, [`read_container`], parameterised by the expected magic.
 //!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
-//!      0     8  magic  (e.g. "RCSNAP01")
+//!      0     8  magic  ("RCMANI01")
 //!      8     4  format version   (u32 LE)
 //!     12     4  feature flags    (u32 LE, any bit outside KNOWN_FLAGS
-//!                                 refuses the file — see [`FLAG_PACKED_SECTIONS`],
-//!                                 [`FLAG_BLOCK_POSTINGS`])
+//!                                 refuses the file — see [`FLAG_PACKED_SECTIONS`])
 //!     16     4  section count    (u32 LE)
 //!     20     8  header crc64     (over bytes [0, 20))
 //!     28   20·n  section table:  n × { kind u32, len u64, crc64 u64 }
@@ -41,22 +39,12 @@
 //! 7. each payload crc, in table order    → `ChecksumMismatch{<section>}`
 //! 8. whole-file crc                      → `ChecksumMismatch{"file"}`
 //!
-//! Under [`Integrity::External`] step 7 is skipped: the caller already
-//! holds the file's whole-file digest from a trusted manifest, so one
-//! streaming CRC pass (step 8, cross-checked against the external digest)
-//! covers every payload byte. That halves the checksum work per byte —
-//! the main reason a sharded load outruns a monolithic one even on a
-//! single core.
-//!
 //! Only after the envelope fully verifies does decoding start; structural
 //! problems found then are `Corrupt`.
 
 use crate::crc::{crc64, Crc64};
 use crate::err::StoreError;
 use std::io::Read;
-
-/// The 8-byte magic every snapshot starts with.
-pub const MAGIC: [u8; 8] = *b"RCSNAP01";
 
 /// The format revision this build writes and reads.
 pub const FORMAT_VERSION: u32 = 1;
@@ -65,14 +53,9 @@ pub const FORMAT_VERSION: u32 = 1;
 /// (raw or LZ-compressed — [`crate::pack`]).
 pub const FLAG_PACKED_SECTIONS: u32 = 1;
 
-/// Header flag: postings travel as block-compressed sections
-/// ([`kind::TERM_BLOCKS`] / [`kind::ENTITY_BLOCKS`]) instead of the
-/// legacy CSR sections ([`kind::TERM_INDEX`] / [`kind::ENTITY_INDEX`]).
-pub const FLAG_BLOCK_POSTINGS: u32 = 2;
-
 /// Every flag bit this build understands; any other set bit means the
 /// file needs a newer reader ([`StoreError::UnsupportedFlags`]).
-pub const KNOWN_FLAGS: u32 = FLAG_PACKED_SECTIONS | FLAG_BLOCK_POSTINGS;
+pub const KNOWN_FLAGS: u32 = FLAG_PACKED_SECTIONS;
 
 /// Fixed header size: magic + version + flags + count + header crc.
 pub const HEADER_LEN: usize = 28;
@@ -80,8 +63,8 @@ pub const HEADER_LEN: usize = 28;
 /// Bytes per section-table entry: kind + len + crc.
 pub const TABLE_ENTRY_LEN: usize = 20;
 
-/// Upper bound on the section count a reader will accept; the format
-/// defines 7, the headroom is for future minor revisions. Anything larger
+/// Upper bound on the section count a reader will accept; the manifest
+/// has 7, the headroom is for future minor revisions. Anything larger
 /// is a forged header.
 const MAX_SECTIONS: usize = 64;
 
@@ -99,7 +82,8 @@ pub struct Section {
 }
 
 /// Section kind tags. Values are part of the on-disk format; never
-/// renumber.
+/// renumber. Tags 6, 7, 9, 10 and 11 belonged to the retired
+/// monolithic and streamed-shard formats; never reuse them.
 pub mod kind {
     /// Dataset config, fingerprints, node census.
     pub const META: u32 = 1;
@@ -111,55 +95,20 @@ pub mod kind {
     pub const TRUTH: u32 = 4;
     /// Retained-document table and per-document lengths.
     pub const CORPUS: u32 = 5;
-    /// Term-side CSR postings.
-    pub const TERM_INDEX: u32 = 6;
-    /// Entity-side CSR postings.
-    pub const ENTITY_INDEX: u32 = 7;
     /// Sharded-snapshot manifest: shard ranges, byte lengths, digests.
     pub const SHARD_TABLE: u32 = 8;
-    /// Per-shard identity: index, count, declared id ranges.
-    pub const SHARD_META: u32 = 9;
-    /// Term-side block-compressed postings (delta + bit-packed blocks).
-    pub const TERM_BLOCKS: u32 = 10;
-    /// Entity-side block-compressed postings.
-    pub const ENTITY_BLOCKS: u32 = 11;
-    /// Raw per-document term lengths (mapped-layout manifests only):
-    /// warm opens read this tiny section instead of unpacking `CORPUS`.
+    /// Raw per-document term lengths: warm opens read this tiny section
+    /// instead of unpacking `CORPUS`.
     pub const DOC_LENS: u32 = 12;
 }
 
 /// Section kinds whose payloads are worth running through the byte
 /// compressor under [`FLAG_PACKED_SECTIONS`]: the synthetic-study
-/// sections (text-heavy, highly redundant). Postings sections are
-/// already bit-packed and shard tables are tiny, so they are wrapped
-/// raw.
+/// sections (text-heavy, highly redundant). The shard table and the
+/// raw `doc_lens` array are wrapped raw.
 const fn compress_candidate(kind_tag: u32) -> bool {
     matches!(kind_tag, kind::META | kind::GRAPH | kind::WEB | kind::TRUTH | kind::CORPUS)
 }
-
-/// The section order a version-1 snapshot must use.
-pub const SECTION_ORDER: [u32; 7] = [
-    kind::META,
-    kind::GRAPH,
-    kind::WEB,
-    kind::TRUTH,
-    kind::CORPUS,
-    kind::TERM_INDEX,
-    kind::ENTITY_INDEX,
-];
-
-/// The section order of a [`FLAG_BLOCK_POSTINGS`] snapshot: identical,
-/// with the CSR posting sections replaced by their block-compressed
-/// counterparts.
-pub const SECTION_ORDER_BLOCKS: [u32; 7] = [
-    kind::META,
-    kind::GRAPH,
-    kind::WEB,
-    kind::TRUTH,
-    kind::CORPUS,
-    kind::TERM_BLOCKS,
-    kind::ENTITY_BLOCKS,
-];
 
 /// The human name of a section kind (used in error messages and
 /// [`SectionInfo`]).
@@ -170,12 +119,7 @@ pub const fn section_name(kind_tag: u32) -> &'static str {
         kind::WEB => "web",
         kind::TRUTH => "truth",
         kind::CORPUS => "corpus",
-        kind::TERM_INDEX => "term_index",
-        kind::ENTITY_INDEX => "entity_index",
         kind::SHARD_TABLE => "shard_table",
-        kind::SHARD_META => "shard_meta",
-        kind::TERM_BLOCKS => "term_blocks",
-        kind::ENTITY_BLOCKS => "entity_blocks",
         kind::DOC_LENS => "doc_lens",
         _ => "unknown",
     }
@@ -183,25 +127,12 @@ pub const fn section_name(kind_tag: u32) -> &'static str {
 
 // ----- writing ----------------------------------------------------------
 
-/// Assembles the complete container from encoded section payloads, under
-/// the monolithic-snapshot magic (legacy layout, flags = 0).
-pub fn assemble(sections: &[Section]) -> Vec<u8> {
-    assemble_with(&MAGIC, sections)
-}
-
-/// Assembles the complete container under an arbitrary magic (legacy
-/// layout, flags = 0). Every file kind (snapshot, manifest, shard) is
-/// written fully self-contained — per-section CRCs included — regardless
-/// of how it will be read back.
-pub fn assemble_with(magic: &[u8; 8], sections: &[Section]) -> Vec<u8> {
-    assemble_flags(magic, sections, 0)
-}
-
-/// [`assemble_with`] with explicit feature flags. Under
-/// [`FLAG_PACKED_SECTIONS`] each payload is wrapped with its packing tag
-/// here (compressing the study sections when that wins), so callers
-/// always hand over plain encoded payloads.
-pub fn assemble_flags(magic: &[u8; 8], sections: &[Section], flags: u32) -> Vec<u8> {
+/// Assembles the complete container from encoded section payloads under
+/// `magic` and the header feature `flags`. Under [`FLAG_PACKED_SECTIONS`]
+/// each payload is wrapped with its packing tag here (compressing the
+/// study sections when that wins), so callers always hand over plain
+/// encoded payloads.
+pub fn assemble(magic: &[u8; 8], sections: &[Section], flags: u32) -> Vec<u8> {
     debug_assert_eq!(flags & !KNOWN_FLAGS, 0, "writer uses only known flags");
     let wrapped: Vec<Section>;
     let sections = if flags & FLAG_PACKED_SECTIONS != 0 {
@@ -272,41 +203,13 @@ impl<R: Read> HashingReader<R> {
     }
 }
 
-/// How payload bytes are verified while streaming a container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Integrity {
-    /// Verify each per-section CRC *and* the trailing whole-file CRC — two
-    /// digest passes over every payload byte. The mode for files read
-    /// without outside knowledge (monolithic snapshots, manifests).
-    SelfContained,
-    /// The caller already knows the file's whole-file CRC-64 from a
-    /// trusted source (the manifest's shard table). Per-section CRCs are
-    /// skipped; the single streamed digest must match both the file's own
-    /// trailer and `digest`, or the read fails with
-    /// `ChecksumMismatch{"file"}`. One pass per byte instead of two.
-    External {
-        /// The expected whole-file CRC-64/XZ.
-        digest: u64,
-    },
-}
-
-/// Streams and fully verifies a monolithic snapshot container, returning
-/// its sections in table order, the total byte count, and the header
-/// feature flags.
-pub fn read_container<R: Read>(reader: R) -> Result<(Vec<Section>, u64, u32), StoreError> {
-    read_container_with(reader, &MAGIC, Integrity::SelfContained)
-}
-
-/// The one streaming container decoder: chunked reads, fixed
-/// detection-order error mapping, and the [`Integrity`] policy above.
-/// Monolithic snapshots, manifests, and shards all come through here.
-/// Returned payloads are already unwrapped when the file sets
-/// [`FLAG_PACKED_SECTIONS`]; the caller switches decoding on
-/// [`FLAG_BLOCK_POSTINGS`].
-pub fn read_container_with<R: Read>(
+/// The one streaming container decoder: chunked reads and the fixed
+/// detection-order error mapping above. Returns the sections in table
+/// order (payloads already unwrapped when the file sets
+/// [`FLAG_PACKED_SECTIONS`]), the total byte count, and the header flags.
+pub fn read_container<R: Read>(
     reader: R,
     magic: &[u8; 8],
-    integrity: Integrity,
 ) -> Result<(Vec<Section>, u64, u32), StoreError> {
     let mut r = HashingReader { inner: reader, digest: Crc64::new(), bytes_read: 0 };
 
@@ -362,26 +265,20 @@ pub fn read_container_with<R: Read>(
             payload.resize(start + take, 0);
             r.read_exact(&mut payload[start..])?;
         }
-        if integrity == Integrity::SelfContained && crc64(&payload) != expected_crc {
+        if crc64(&payload) != expected_crc {
             return Err(StoreError::ChecksumMismatch { section: section_name(kind_tag) });
         }
         sections.push(Section { kind: kind_tag, payload });
     }
 
     // Whole-file checksum: digest of everything streamed so far must match
-    // the trailing 8 bytes (which are read outside the digest) — and, in
-    // external mode, the digest the caller's manifest recorded.
+    // the trailing 8 bytes (which are read outside the digest).
     let computed = r.digest.finish();
     let mut trailer = [0u8; 8];
     r.inner.read_exact(&mut trailer).map_err(StoreError::from)?;
     r.bytes_read += 8;
     if computed != u64::from_le_bytes(trailer) {
         return Err(StoreError::ChecksumMismatch { section: "file" });
-    }
-    if let Integrity::External { digest } = integrity {
-        if computed != digest {
-            return Err(StoreError::ChecksumMismatch { section: "file" });
-        }
     }
     // Anything after the trailer is not ours.
     let mut probe = [0u8; 1];
@@ -403,7 +300,7 @@ pub fn read_container_with<R: Read>(
 
 // ----- layout introspection ---------------------------------------------
 
-/// One named byte range of a snapshot, as reported by [`layout`].
+/// One named byte range of a container, as reported by [`layout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionInfo {
     /// Region name: `"header"`, `"table"`, a section name, or `"file_crc"`.
@@ -416,17 +313,11 @@ pub struct SectionInfo {
     pub len: usize,
 }
 
-/// Maps a serialised snapshot into its named byte regions (envelope
+/// Maps a serialised container into its named byte regions (envelope
 /// included) without decoding payloads. The fault-injection suite uses
-/// this to aim bit-flips and truncations at every region; `rc load`
-/// failures can use it to point at the damaged range.
-pub fn layout(bytes: &[u8]) -> Result<Vec<SectionInfo>, StoreError> {
-    layout_with(bytes, &MAGIC)
-}
-
-/// [`layout`] under an arbitrary magic, so manifest and shard files can be
-/// mapped (and fault-injected) the same way as monolithic snapshots.
-pub fn layout_with(bytes: &[u8], magic: &[u8; 8]) -> Result<Vec<SectionInfo>, StoreError> {
+/// this to aim bit-flips and truncations at every region of a manifest;
+/// `rc load` failures can use it to point at the damaged range.
+pub fn layout(bytes: &[u8], magic: &[u8; 8]) -> Result<Vec<SectionInfo>, StoreError> {
     if bytes.len() < HEADER_LEN {
         return Err(StoreError::Truncated);
     }
@@ -472,18 +363,27 @@ pub fn layout_with(bytes: &[u8], magic: &[u8; 8]) -> Result<Vec<SectionInfo>, St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::MANIFEST_MAGIC as MAGIC;
 
     fn two_sections() -> Vec<u8> {
-        assemble(&[
-            Section { kind: kind::META, payload: vec![1, 2, 3] },
-            Section { kind: kind::GRAPH, payload: vec![4; 100] },
-        ])
+        assemble(
+            &MAGIC,
+            &[
+                Section { kind: kind::META, payload: vec![1, 2, 3] },
+                Section { kind: kind::GRAPH, payload: vec![4; 100] },
+            ],
+            0,
+        )
+    }
+
+    fn read(bytes: &[u8]) -> Result<(Vec<Section>, u64, u32), StoreError> {
+        read_container(bytes, &MAGIC)
     }
 
     #[test]
     fn roundtrip() {
         let bytes = two_sections();
-        let (sections, n, flags) = read_container(&bytes[..]).unwrap();
+        let (sections, n, flags) = read(&bytes).unwrap();
         assert_eq!(n, bytes.len() as u64);
         assert_eq!(flags, 0);
         assert_eq!(sections.len(), 2);
@@ -501,18 +401,18 @@ mod tests {
             Section { kind: kind::GRAPH, payload: redundant.clone() },
             Section { kind: kind::SHARD_TABLE, payload: dense.clone() },
         ];
-        let legacy = assemble_with(&MAGIC, &sections);
-        let packed = assemble_flags(&MAGIC, &sections, FLAG_PACKED_SECTIONS);
+        let legacy = assemble(&MAGIC, &sections, 0);
+        let packed = assemble(&MAGIC, &sections, FLAG_PACKED_SECTIONS);
         assert!(packed.len() < legacy.len(), "{} vs {}", packed.len(), legacy.len());
 
-        let (got, n, flags) = read_container(&packed[..]).unwrap();
+        let (got, n, flags) = read(&packed).unwrap();
         assert_eq!(n, packed.len() as u64);
         assert_eq!(flags, FLAG_PACKED_SECTIONS);
         assert_eq!(got[0].payload, redundant);
         assert_eq!(got[1].payload, dense);
 
         // On-disk, the non-candidate section is tag-RAW (1 byte overhead).
-        let infos = layout(&packed).unwrap();
+        let infos = layout(&packed, &MAGIC).unwrap();
         let st = infos.iter().find(|i| i.name == "shard_table").unwrap();
         assert_eq!(st.len, dense.len() + 1);
         assert_eq!(packed[st.offset], crate::pack::TAG_RAW);
@@ -522,15 +422,15 @@ mod tests {
     fn packed_assembly_is_deterministic() {
         let sections = [Section { kind: kind::WEB, payload: b"page page page page".repeat(50) }];
         assert_eq!(
-            assemble_flags(&MAGIC, &sections, KNOWN_FLAGS),
-            assemble_flags(&MAGIC, &sections, KNOWN_FLAGS)
+            assemble(&MAGIC, &sections, KNOWN_FLAGS),
+            assemble(&MAGIC, &sections, KNOWN_FLAGS)
         );
     }
 
     #[test]
     fn layout_covers_every_byte_exactly_once() {
         let bytes = two_sections();
-        let infos = layout(&bytes).unwrap();
+        let infos = layout(&bytes, &MAGIC).unwrap();
         let mut cursor = 0usize;
         for info in &infos {
             assert_eq!(info.offset, cursor, "gap before {}", info.name);
@@ -545,14 +445,14 @@ mod tests {
     fn wrong_magic() {
         let mut bytes = two_sections();
         bytes[0] = b'X';
-        assert!(matches!(read_container(&bytes[..]), Err(StoreError::BadMagic)));
+        assert!(matches!(read(&bytes), Err(StoreError::BadMagic)));
     }
 
     #[test]
     fn wrong_version_reports_both_numbers() {
         let mut bytes = two_sections();
         bytes[8] = 99;
-        match read_container(&bytes[..]) {
+        match read(&bytes) {
             Err(StoreError::VersionMismatch { found, expected }) => {
                 assert_eq!(found, 99);
                 assert_eq!(expected, FORMAT_VERSION);
@@ -568,7 +468,7 @@ mod tests {
         // Unknown-flag damage is detected before the header checksum:
         // flags are a compatibility statement, not just payload bytes.
         assert!(matches!(
-            read_container(&bytes[..]),
+            read(&bytes),
             Err(StoreError::UnsupportedFlags { flags: 0x80 })
         ));
     }
@@ -580,7 +480,7 @@ mod tests {
         let mut bytes = two_sections();
         bytes[12] |= FLAG_PACKED_SECTIONS as u8;
         assert!(matches!(
-            read_container(&bytes[..]),
+            read(&bytes),
             Err(StoreError::ChecksumMismatch { section: "header" })
         ));
     }
@@ -591,8 +491,8 @@ mod tests {
         // section's tag byte and re-sign every CRC. The envelope then
         // verifies, and the unwrapper must still refuse the payload.
         let sections = [Section { kind: kind::META, payload: vec![5; 40] }];
-        let mut bytes = assemble_flags(&MAGIC, &sections, FLAG_PACKED_SECTIONS);
-        let infos = layout(&bytes).unwrap();
+        let mut bytes = assemble(&MAGIC, &sections, FLAG_PACKED_SECTIONS);
+        let infos = layout(&bytes, &MAGIC).unwrap();
         let meta = infos.iter().find(|i| i.name == "meta").unwrap();
         bytes[meta.offset] = 9; // unknown packing tag
         // Re-sign: section crc in the table, table crc, file crc.
@@ -607,7 +507,7 @@ mod tests {
         let at = bytes.len() - 8;
         bytes[at..].copy_from_slice(&file_crc.to_le_bytes());
 
-        match read_container(&bytes[..]) {
+        match read(&bytes) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("packing tag"), "{msg}"),
             other => panic!("expected Corrupt(packing tag), got {other:?}"),
         }
@@ -618,7 +518,7 @@ mod tests {
         let mut bytes = two_sections();
         bytes[16] ^= 1; // section count is covered by the header crc
         assert!(matches!(
-            read_container(&bytes[..]),
+            read(&bytes),
             Err(StoreError::ChecksumMismatch { section: "header" })
         ));
     }
@@ -627,7 +527,7 @@ mod tests {
     fn every_truncation_point_is_truncated() {
         let bytes = two_sections();
         for cut in 0..bytes.len() {
-            match read_container(&bytes[..cut]) {
+            match read(&bytes[..cut]) {
                 Err(StoreError::Truncated) => {}
                 other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
             }
@@ -638,44 +538,21 @@ mod tests {
     fn trailing_garbage_is_corrupt() {
         let mut bytes = two_sections();
         bytes.push(0);
-        assert!(matches!(read_container(&bytes[..]), Err(StoreError::Corrupt(_))));
+        assert!(matches!(read(&bytes), Err(StoreError::Corrupt(_))));
     }
 
     #[test]
     fn empty_input_is_truncated() {
-        assert!(matches!(read_container(&[][..]), Err(StoreError::Truncated)));
-        assert!(matches!(layout(&[]), Err(StoreError::Truncated)));
+        assert!(matches!(read(&[]), Err(StoreError::Truncated)));
+        assert!(matches!(layout(&[], &MAGIC), Err(StoreError::Truncated)));
     }
 
     #[test]
-    fn external_digest_mode_roundtrips_and_detects_damage() {
-        let magic = b"RCTEST01";
-        let bytes = assemble_with(magic, &[Section { kind: kind::META, payload: vec![9; 50] }]);
-        let digest = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        let (sections, n, _) =
-            read_container_with(&bytes[..], magic, Integrity::External { digest }).unwrap();
-        assert_eq!(n, bytes.len() as u64);
-        assert_eq!(sections[0].payload, vec![9; 50]);
-
-        // An internally consistent file that is not the one the caller's
-        // manifest promised still fails the whole-file check.
-        assert!(matches!(
-            read_container_with(&bytes[..], magic, Integrity::External { digest: digest ^ 1 }),
-            Err(StoreError::ChecksumMismatch { section: "file" })
-        ));
-
-        // Payload damage in external mode is caught by the single
-        // whole-file pass instead of the per-section pass.
-        let infos = layout_with(&bytes, magic).unwrap();
-        let meta = infos.iter().find(|i| i.name == "meta").unwrap();
-        let mut damaged = bytes.clone();
-        damaged[meta.offset] ^= 0xFF;
-        assert!(matches!(
-            read_container_with(&damaged[..], magic, Integrity::External { digest }),
-            Err(StoreError::ChecksumMismatch { section: "file" })
-        ));
-
-        // The monolithic-snapshot reader refuses the foreign magic.
-        assert!(matches!(read_container(&bytes[..]), Err(StoreError::BadMagic)));
+    fn foreign_magic_is_bad_magic() {
+        // A file written under another magic (a retired `RCSNAP01`
+        // monolithic snapshot, say) is refused before anything else.
+        let bytes = assemble(b"RCSNAP01", &[Section { kind: kind::META, payload: vec![9; 50] }], 0);
+        assert!(matches!(read(&bytes), Err(StoreError::BadMagic)));
+        assert!(matches!(layout(&bytes, &MAGIC), Err(StoreError::BadMagic)));
     }
 }

@@ -12,8 +12,8 @@ use std::fmt;
 #[derive(Debug)]
 pub enum StoreError {
     /// The file does not start with the magic its role requires
-    /// (`RCSNAP01` for snapshots, `RCMANI01` for manifests, `RCSHRD01`
-    /// for shards) — it is not that kind of rightcrowd file at all.
+    /// (`RCMANI01` for manifests, `RCSHRD02` for shards) — it is not that
+    /// kind of rightcrowd file at all.
     BadMagic,
     /// The file is a snapshot, but of a format revision this build does
     /// not read.
@@ -23,19 +23,18 @@ pub enum StoreError {
         /// The version this build reads.
         expected: u32,
     },
-    /// The header carries feature flags this build does not know. Two
-    /// flags are defined — packed sections and block postings (see
-    /// `container::KNOWN_FLAGS`); any *other* set bit means the file needs
-    /// a newer reader and is a refusal.
+    /// The header carries feature flags this build does not know. One
+    /// flag is defined — packed sections (see `container::KNOWN_FLAGS`);
+    /// any *other* set bit means the file needs a newer reader and is a
+    /// refusal.
     UnsupportedFlags {
         /// The offending flag word.
         flags: u32,
     },
     /// A checksum did not verify. `section` names the failing region:
     /// `"header"`, `"table"`, `"file"`, or one of the payload sections
-    /// (`"meta"`, `"graph"`, `"web"`, `"truth"`, `"corpus"`,
-    /// `"term_index"`, `"entity_index"`, `"term_blocks"`,
-    /// `"entity_blocks"`).
+    /// of the manifest (`"meta"`, `"graph"`, `"web"`, `"truth"`,
+    /// `"corpus"`, `"doc_lens"`, `"shard_table"`).
     ChecksumMismatch {
         /// The region whose checksum failed.
         section: &'static str,
@@ -55,7 +54,7 @@ pub enum StoreError {
         index: u32,
     },
     /// Every checksum verified but the decoded structure violates an
-    /// invariant (CSR shape, id ranges, knowledge-base fingerprint, …).
+    /// invariant (block metadata, id ranges, knowledge-base fingerprint, …).
     /// Reachable only through a consistent rewrite of payload + checksums,
     /// i.e. a buggy or malicious writer rather than bit rot.
     Corrupt(String),
@@ -69,7 +68,7 @@ impl fmt::Display for StoreError {
             StoreError::BadMagic => {
                 write!(
                     f,
-                    "bad magic: not a rightcrowd snapshot (\"RCSNAP01\"), manifest (\"RCMANI01\") or shard (\"RCSHRD01\")"
+                    "bad magic: not a rightcrowd manifest (\"RCMANI01\") or shard (\"RCSHRD02\")"
                 )
             }
             StoreError::VersionMismatch { found, expected } => write!(
@@ -87,11 +86,11 @@ impl fmt::Display for StoreError {
             }
             StoreError::ShardMissing { index } => write!(
                 f,
-                "shard {index} is missing — the manifest promises it but the file is not on disk; re-run `rc save --shards N`"
+                "shard {index} is missing — the manifest promises it but the file is not on disk; re-run `rc save`"
             ),
             StoreError::ShardChecksumMismatch { index } => write!(
                 f,
-                "shard {index} failed its manifest digest — the file is corrupt or belongs to a different save; re-run `rc save --shards N`"
+                "shard {index} failed its manifest digest — the file is corrupt or belongs to a different save; re-run `rc save`"
             ),
             StoreError::Corrupt(what) => write!(f, "snapshot is structurally corrupt: {what}"),
             StoreError::Io(e) => write!(f, "snapshot i/o failed: {e}"),
@@ -127,7 +126,7 @@ mod tests {
     #[test]
     fn display_is_actionable() {
         let cases: Vec<(StoreError, &str)> = vec![
-            (StoreError::BadMagic, "RCSNAP01"),
+            (StoreError::BadMagic, "RCMANI01"),
             (StoreError::VersionMismatch { found: 9, expected: 1 }, "version 9"),
             (StoreError::UnsupportedFlags { flags: 2 }, "0x00000002"),
             (StoreError::ChecksumMismatch { section: "graph" }, "`graph`"),

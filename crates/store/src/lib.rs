@@ -1,34 +1,39 @@
 //! # rightcrowd-store
 //!
-//! Versioned on-disk snapshots of the built corpus + CSR index — the
+//! Versioned on-disk snapshots of the built corpus + index — the
 //! *build once, query many* half of the serving story (DESIGN.md §10).
 //!
-//! A snapshot holds everything `EvalContext` needs to answer queries
-//! without re-running the synthesis + analysis pipeline: the social
-//! graph, the synthetic web, the ground-truth inputs, the
-//! retained-document table, and the interned postings (block-compressed
-//! by default, flat CSR in the legacy flags-0 layout) with their
-//! precomputed `irf`/`eirf` and MaxScore bounds. Compiled-in constants
+//! A snapshot is a directory holding one format: an `RCMANI01` manifest
+//! plus N `RCSHRD02` postings shards (see [`shard`]). The manifest holds
+//! everything `EvalContext` needs besides the postings — the social
+//! graph, the synthetic web, the ground-truth inputs and the
+//! retained-document table — plus a shard table with every shard's
+//! range, length and digest. Each shard holds the block-compressed
+//! postings of one contiguous term/entity range with their precomputed
+//! `irf`/`eirf` and MaxScore bounds, laid out so an open borrows every
+//! array straight from `mmap(2)` (see [`mapped`]). Compiled-in constants
 //! (knowledge base, query workload) are *not* stored; they are
 //! regenerated at load and verified against fingerprints, so a snapshot
 //! can never be silently interpreted against the wrong vocabulary.
 //!
-//! The container is hand-rolled (this crate has zero dependencies beyond
+//! Everything is hand-rolled (this crate has zero dependencies beyond
 //! the workspace), little-endian, and fully checksummed — magic, format
-//! version, feature flags, a section table, one CRC-64 per section, and a
-//! whole-file CRC. Loading streams, verifies, and reconstructs with
-//! pre-sized allocations; on any damage it returns a typed
-//! [`StoreError`] — never a panic — whose variant names exactly what went
-//! wrong (see `container` for the detection-order contract).
+//! version, feature flags, a section table, one CRC-64 per manifest
+//! section, a whole-file CRC per file, and the manifest's digest of
+//! every shard. On any damage a load returns a typed [`StoreError`] —
+//! never a panic — whose variant names exactly what went wrong (see
+//! `container` for the detection-order contract). Validity sidecars
+//! (`.rcv`, see [`sidecar`]) let a re-open skip re-hashing unchanged
+//! files.
 //!
 //! ```no_run
 //! # use rightcrowd_synth::{DatasetConfig, SyntheticDataset};
 //! # use rightcrowd_core::AnalyzedCorpus;
 //! let ds = SyntheticDataset::generate(&DatasetConfig::small());
 //! let corpus = AnalyzedCorpus::build(&ds);
-//! rightcrowd_store::save("corpus.rcs", &ds, &corpus).unwrap();
+//! rightcrowd_store::save_sharded("corpus.snap", &ds, &corpus, 4, 4).unwrap();
 //! // …later, in another process:
-//! let (ds, corpus, stats) = rightcrowd_store::load("corpus.rcs").unwrap();
+//! let (ds, corpus, stats) = rightcrowd_store::load_sharded("corpus.snap", 4).unwrap();
 //! assert!(stats.bytes > 0);
 //! ```
 
@@ -45,126 +50,26 @@ pub mod wire;
 
 pub use codec::Census;
 pub use container::{
-    layout, layout_with, section_name, Integrity, SectionInfo, FLAG_BLOCK_POSTINGS,
-    FLAG_PACKED_SECTIONS, FORMAT_VERSION, KNOWN_FLAGS, MAGIC,
+    layout, section_name, SectionInfo, FLAG_PACKED_SECTIONS, FORMAT_VERSION, KNOWN_FLAGS,
 };
 pub use crc::{crc64, Crc64};
 pub use err::StoreError;
 pub use mapped::{MAPPED_ALIGN, MAPPED_SHARD_MAGIC};
 pub use shard::{
-    is_mapped_snapshot, is_sharded, load_sharded, manifest_path, open_mapped, save_sharded,
-    save_sharded_with, shard_path, MappedOpenStats, ShardEntry, ShardTable, ShardedLoadStats,
-    ShardedSaveStats, SnapshotLayout, MANIFEST_FILE, MANIFEST_MAGIC, SHARD_FORMAT_VERSION,
-    SHARD_FORMAT_VERSION_MAPPED, SHARD_MAGIC,
+    is_sharded, load_sharded, manifest_path, open_mapped, save_sharded, save_sharded_with,
+    shard_path, MappedOpenStats, ShardEntry, ShardTable, ShardedLoadStats, ShardedSaveStats,
+    SnapshotLayout, MANIFEST_FILE, MANIFEST_MAGIC, SHARD_FORMAT_VERSION,
 };
 pub use sidecar::{read_sidecar, sidecar_path, write_sidecar, Sidecar};
 
-use container::{kind, Section, SECTION_ORDER, SECTION_ORDER_BLOCKS};
+use container::{kind, Section};
 use rightcrowd_core::AnalyzedCorpus;
 use rightcrowd_graph::DocId;
-use rightcrowd_index::InvertedIndex;
 use rightcrowd_synth::{queries::workload, SyntheticDataset};
-use std::io::Read;
-use std::path::Path;
-use std::time::Instant;
 
-/// What [`save`] did.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SaveStats {
-    /// Total container size written, in bytes.
-    pub bytes: u64,
-    /// Wall time of encode + write, milliseconds.
-    pub elapsed_ms: f64,
-}
-
-/// What [`load`] did.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadStats {
-    /// Total container size read and verified, in bytes.
-    pub bytes: u64,
-    /// Wall time of read + verify + reconstruct, milliseconds.
-    pub elapsed_ms: f64,
-}
-
-/// Serialises a built study into a complete snapshot container.
-///
-/// Deterministic: the same `(ds, corpus)` always produces the same bytes
-/// (vocabularies travel in dense-id order, floats as bit patterns, and no
-/// timestamp enters the container), so saving a loaded snapshot again is
-/// byte-identical.
-pub fn to_bytes(ds: &SyntheticDataset, corpus: &AnalyzedCorpus) -> Vec<u8> {
-    let _span = rightcrowd_obs::span!("store.encode");
-    let parts = corpus.index().to_parts();
-    let mut sections = study_sections(ds, corpus, &parts.doc_lens);
-
-    // Default layout: block-compressed postings plus packed (byte-compressed)
-    // study sections, declared by the header flags. Under `blocks-off` the
-    // index holds no packed lists, so the legacy flat-CSR flags-0 layout is
-    // written instead — which is also exactly what old readers expect.
-    #[cfg(not(feature = "blocks-off"))]
-    {
-        // A mapped index keeps its packed lists per shard, not in the
-        // flat `packed_postings()` store (which is empty there) — for a
-        // monolithic save they are regenerated from the canonical parts.
-        let regenerated;
-        let (packed_terms, packed_entities) = if corpus.index().is_mapped() {
-            regenerated = (
-                rightcrowd_index::pack_term_parts(&parts.terms),
-                rightcrowd_index::pack_entity_parts(&parts.entities),
-            );
-            (&regenerated.0, &regenerated.1)
-        } else {
-            corpus.index().packed_postings()
-        };
-        sections.push(Section {
-            kind: kind::TERM_BLOCKS,
-            payload: codec::encode_term_blocks(&parts.terms.vocab, &parts.terms.irf, packed_terms),
-        });
-        sections.push(Section {
-            kind: kind::ENTITY_BLOCKS,
-            payload: codec::encode_entity_blocks(
-                &parts.entities.vocab,
-                &parts.entities.eirf,
-                packed_entities,
-            ),
-        });
-        container::assemble_flags(
-            &MAGIC,
-            &sections,
-            container::FLAG_PACKED_SECTIONS | container::FLAG_BLOCK_POSTINGS,
-        )
-    }
-    #[cfg(feature = "blocks-off")]
-    {
-        sections.push(Section { kind: kind::TERM_INDEX, payload: codec::encode_term_index(&parts.terms) });
-        sections.push(Section {
-            kind: kind::ENTITY_INDEX,
-            payload: codec::encode_entity_index(&parts.entities),
-        });
-        container::assemble(&sections)
-    }
-}
-
-/// Serialises the legacy flags-0 layout — flat CSR postings, no section
-/// packing — regardless of feature configuration. Every build reads both
-/// layouts; this writer exists as a downgrade path and anchors the
-/// compatibility suite (a "pre-blocks snapshot" can always be
-/// manufactured and must always load).
-pub fn to_bytes_legacy(ds: &SyntheticDataset, corpus: &AnalyzedCorpus) -> Vec<u8> {
-    let parts = corpus.index().to_parts();
-    let mut sections = study_sections(ds, corpus, &parts.doc_lens);
-    sections.push(Section { kind: kind::TERM_INDEX, payload: codec::encode_term_index(&parts.terms) });
-    sections.push(Section {
-        kind: kind::ENTITY_INDEX,
-        payload: codec::encode_entity_index(&parts.entities),
-    });
-    container::assemble(&sections)
-}
-
-/// Encodes the five non-index sections every container kind shares —
-/// `meta`, `graph`, `web`, `truth`, `corpus` — in format order. Monolithic
-/// snapshots append the two index sections; sharded manifests append the
-/// shard table instead.
+/// Encodes the five study sections that open every manifest — `meta`,
+/// `graph`, `web`, `truth`, `corpus` — in format order. The manifest
+/// writer appends the raw `doc_lens` and the shard table.
 pub(crate) fn study_sections(
     ds: &SyntheticDataset,
     corpus: &AnalyzedCorpus,
@@ -217,85 +122,4 @@ pub(crate) fn decode_study(
     let (docs, dropped, doc_lens) = codec::decode_corpus(corpus, census)?;
     let ds = SyntheticDataset::from_parts(config, graph, web, latent, answers, personas);
     Ok((ds, docs, dropped, doc_lens))
-}
-
-/// Streams, verifies and reconstructs a snapshot from any reader.
-///
-/// Returns the dataset, the corpus, and the verified byte count. All
-/// failure modes are typed ([`StoreError`]); nothing in this path panics
-/// on hostile input.
-pub fn from_reader<R: Read>(reader: R) -> Result<(SyntheticDataset, AnalyzedCorpus, u64), StoreError> {
-    let _span = rightcrowd_obs::span!("store.load");
-    let _timer = rightcrowd_obs::time(rightcrowd_obs::HistId::SnapshotLoadLatency);
-
-    let (sections, bytes, flags) = container::read_container(reader)?;
-
-    // Version 1 fixes the section order for each flags combination;
-    // anything else is a forged table. Both index layouts load regardless
-    // of this build's write-side feature, so old flags-0 snapshots and new
-    // block snapshots remain interchangeable.
-    let blocked = flags & container::FLAG_BLOCK_POSTINGS != 0;
-    let order = if blocked { &SECTION_ORDER_BLOCKS } else { &SECTION_ORDER };
-    if sections.len() != order.len()
-        || sections.iter().zip(order).any(|(s, &k)| s.kind != k)
-    {
-        return Err(StoreError::Corrupt(format!(
-            "unexpected section layout {:?} (want {order:?})",
-            sections.iter().map(|s| s.kind).collect::<Vec<_>>()
-        )));
-    }
-
-    let (ds, docs, dropped, doc_lens) = decode_study([
-        &sections[0].payload,
-        &sections[1].payload,
-        &sections[2].payload,
-        &sections[3].payload,
-        &sections[4].payload,
-    ])?;
-    let (terms, entities) = if blocked {
-        (
-            codec::decode_term_blocks(&sections[5].payload)?,
-            codec::decode_entity_blocks(&sections[6].payload)?,
-        )
-    } else {
-        (
-            codec::decode_term_index(&sections[5].payload)?,
-            codec::decode_entity_index(&sections[6].payload)?,
-        )
-    };
-
-    let index = InvertedIndex::from_parts(codec::assemble_index_parts(terms, entities, doc_lens))
-        .map_err(StoreError::Corrupt)?;
-    let corpus = AnalyzedCorpus::from_parts(index, docs, dropped).map_err(StoreError::Corrupt)?;
-
-    rightcrowd_obs::add(rightcrowd_obs::CounterId::SnapshotBytesRead, bytes);
-    Ok((ds, corpus, bytes))
-}
-
-/// [`from_reader`] over an in-memory buffer.
-pub fn from_bytes(bytes: &[u8]) -> Result<(SyntheticDataset, AnalyzedCorpus), StoreError> {
-    let (ds, corpus, _) = from_reader(bytes)?;
-    Ok((ds, corpus))
-}
-
-/// Writes a snapshot of `(ds, corpus)` to `path`.
-pub fn save(
-    path: impl AsRef<Path>,
-    ds: &SyntheticDataset,
-    corpus: &AnalyzedCorpus,
-) -> Result<SaveStats, StoreError> {
-    let _span = rightcrowd_obs::span!("store.save");
-    let start = Instant::now();
-    let bytes = to_bytes(ds, corpus);
-    std::fs::write(path, &bytes).map_err(StoreError::Io)?;
-    rightcrowd_obs::add(rightcrowd_obs::CounterId::SnapshotBytesWritten, bytes.len() as u64);
-    Ok(SaveStats { bytes: bytes.len() as u64, elapsed_ms: start.elapsed().as_secs_f64() * 1e3 })
-}
-
-/// Reads, verifies and reconstructs a snapshot from `path`.
-pub fn load(path: impl AsRef<Path>) -> Result<(SyntheticDataset, AnalyzedCorpus, LoadStats), StoreError> {
-    let start = Instant::now();
-    let file = std::fs::File::open(path).map_err(StoreError::Io)?;
-    let (ds, corpus, bytes) = from_reader(std::io::BufReader::new(file))?;
-    Ok((ds, corpus, LoadStats { bytes, elapsed_ms: start.elapsed().as_secs_f64() * 1e3 }))
 }

@@ -1,7 +1,6 @@
-//! The mapped shard layout (`RCSHRD02`) and its verify-then-map opener.
+//! The shard layout (`RCSHRD02`) and its verify-then-map opener.
 //!
-//! An `RCSHRD02` file is the zero-copy sibling of the streamed `RCSHRD01`
-//! shard: the same postings (block-compressed, bit-identical ranks), laid
+//! An `RCSHRD02` file holds one shard's block-compressed postings, laid
 //! out so the query path can *borrow* every array straight from an
 //! `mmap(2)` of the file instead of decoding it into fresh allocations:
 //!
@@ -16,7 +15,7 @@
 //!             (zero padding between), in the fixed section order
 //!  len − 8   CRC-64 of every preceding byte (the container convention,
 //!             so the manifest's shard digest and the `.rcv` sidecar
-//!             attest this file exactly like a streamed shard)
+//!             both attest this trailer)
 //! ```
 //!
 //! Payloads are the raw little-endian element bytes of each array — the
@@ -30,8 +29,8 @@
 //! *Cold* (no valid sidecar): map the file, stream one CRC-64 pass over
 //! it (checked against both its own trailer and the manifest's promised
 //! digest), fully re-derive and cross-check the block maxima
-//! (`unpack_terms`/`unpack_entities` — the same non-forgeability check
-//! the streamed decoder runs), then write the `.rcv` sidecar.
+//! (`unpack_terms`/`unpack_entities`, so forged bounds are refused),
+//! then write the `.rcv` sidecar.
 //!
 //! *Warm* (sidecar matches length + mtime *and* its digest equals the
 //! manifest's): map and go. The layout checks (header, table, bounds,
@@ -43,7 +42,7 @@ use crate::container::{kind, FLAG_PACKED_SECTIONS, HEADER_LEN, KNOWN_FLAGS, TABL
 use crate::crc::{crc64, Crc64};
 use crate::err::StoreError;
 use crate::mmap::FileBytes;
-use crate::shard::{ShardEntry, SHARD_FORMAT_VERSION_MAPPED};
+use crate::shard::{ShardEntry, SHARD_FORMAT_VERSION};
 use crate::sidecar::{read_sidecar, write_sidecar, Sidecar};
 use crate::wire::{put_u32, put_u64, Cursor};
 use rightcrowd_index::{
@@ -67,7 +66,7 @@ const MAPPED_TABLE_ENTRY_LEN: usize = 24;
 /// Section kinds of the `RCSHRD02` envelope (its own namespace — the
 /// fixed layout is not a `container` file).
 pub mod mkind {
-    /// Shard identity (same payload as the streamed `shard_meta`).
+    /// Shard identity: index, count, declared id ranges.
     pub const SHARD_META: u32 = 1;
     pub const T_VOCAB_OFFSETS: u32 = 2;
     pub const T_VOCAB_BYTES: u32 = 3;
@@ -183,7 +182,7 @@ fn assemble_mapped(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(at + 8);
 
     out.extend_from_slice(&MAPPED_SHARD_MAGIC);
-    out.extend_from_slice(&SHARD_FORMAT_VERSION_MAPPED.to_le_bytes());
+    out.extend_from_slice(&SHARD_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes()); // flags
     put_u32(&mut out, sections.len() as u32);
     out.extend_from_slice(&0u32.to_le_bytes()); // reserved
@@ -291,8 +290,8 @@ fn parse_mapped_layout(bytes: &[u8]) -> Result<Vec<MappedSection>, StoreError> {
     let u32at = |a: usize| u32::from_le_bytes(bytes[a..a + 4].try_into().expect("4 bytes"));
     let u64at = |a: usize| u64::from_le_bytes(bytes[a..a + 8].try_into().expect("8 bytes"));
     let version = u32at(8);
-    if version != SHARD_FORMAT_VERSION_MAPPED {
-        return Err(StoreError::VersionMismatch { found: version, expected: SHARD_FORMAT_VERSION_MAPPED });
+    if version != SHARD_FORMAT_VERSION {
+        return Err(StoreError::VersionMismatch { found: version, expected: SHARD_FORMAT_VERSION });
     }
     let flags = u32at(12);
     if flags != 0 {
@@ -453,8 +452,8 @@ fn view_from(
 /// The deep content verification a cold open runs (and a sidecar then
 /// attests): every posting block re-derived with full
 /// monotonicity/overflow checking, the stored block and per-list maxima
-/// proven bit-identical to the re-derived values — the same
-/// non-forgeability property the streamed decoder enforces.
+/// proven bit-identical to the re-derived values, so forged bounds can
+/// never steer the pruning.
 fn verify_view_deep(view: &MappedShardView, index: u32) -> Result<(), StoreError> {
     let n_t = (view.term_range.1 - view.term_range.0) as usize;
     let (_, _, _, max_tf) = unpack_terms(&view.terms.packed, n_t)
@@ -502,7 +501,7 @@ pub(crate) fn open_mapped_shard(
     let _span = rightcrowd_obs::span!("store.open_mapped_shard");
     let warm = matches!(
         read_sidecar(path),
-        Ok(sc) if sc.attests(path, SHARD_FORMAT_VERSION_MAPPED, entry.digest)
+        Ok(sc) if sc.attests(path, SHARD_FORMAT_VERSION, entry.digest)
     );
 
     let fb = match FileBytes::open(path, std::fs::metadata(path).map_err(io_missing(index))?.len())
@@ -536,7 +535,7 @@ pub(crate) fn open_mapped_shard(
         }
         verify_view_deep(&view, index)?;
         rightcrowd_obs::add(rightcrowd_obs::CounterId::ShardBytesRead, bytes.len() as u64);
-        if let Ok(sc) = Sidecar::for_file(path, SHARD_FORMAT_VERSION_MAPPED, entry.digest) {
+        if let Ok(sc) = Sidecar::for_file(path, SHARD_FORMAT_VERSION, entry.digest) {
             let _ = write_sidecar(path, &sc);
         }
     }
@@ -577,7 +576,7 @@ pub(crate) struct ManifestIndexOnly {
 /// Warm path (sidecar matches stat + the file's own trailing digest):
 /// four targeted reads — trailer, header, table, the two payloads —
 /// each guarded by the envelope's own CRCs. Cold path: one full
-/// streamed `SelfContained` verification of the whole manifest, then
+/// streamed verification of the whole manifest, then
 /// the sidecar is written.
 pub(crate) fn read_manifest_index_only(dir: &Path) -> Result<ManifestIndexOnly, StoreError> {
     let path = crate::shard::manifest_path(dir);
@@ -595,14 +594,11 @@ pub(crate) fn read_manifest_index_only(dir: &Path) -> Result<ManifestIndexOnly, 
     rightcrowd_obs::add(rightcrowd_obs::CounterId::SidecarMisses, 1);
     let bytes = std::fs::read(&path)?;
     let digest = trailing_u64(&bytes)?;
-    let (sections, n, _flags) = crate::container::read_container_with(
-        &bytes[..],
-        &crate::shard::MANIFEST_MAGIC,
-        crate::container::Integrity::SelfContained,
-    )?;
+    let (sections, n, _flags) =
+        crate::container::read_container(&bytes[..], &crate::shard::MANIFEST_MAGIC)?;
     let (table, doc_lens) = mapped_manifest_sections(&sections)?;
     rightcrowd_obs::add(rightcrowd_obs::CounterId::SnapshotBytesRead, n);
-    if let Ok(sc) = Sidecar::for_file(&path, SHARD_FORMAT_VERSION_MAPPED, digest) {
+    if let Ok(sc) = Sidecar::for_file(&path, SHARD_FORMAT_VERSION, digest) {
         let _ = write_sidecar(&path, &sc);
     }
     Ok(ManifestIndexOnly { table, doc_lens, digest, bytes_read: n, warm: false })
@@ -615,8 +611,10 @@ fn trailing_u64(bytes: &[u8]) -> Result<u64, StoreError> {
     Ok(u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes")))
 }
 
-/// Decodes the shard table + doc_lens out of a fully-read mapped-layout
-/// manifest's sections (the `Section.payload`s are already unwrapped).
+/// Decodes the shard table + doc_lens out of a fully-read manifest's
+/// sections (the `Section.payload`s are already unwrapped). The table's
+/// format version is checked before the `doc_lens` lookup, so a
+/// retired-format manifest reports `VersionMismatch`.
 pub(crate) fn mapped_manifest_sections(
     sections: &[crate::container::Section],
 ) -> Result<(crate::shard::ShardTable, Vec<u32>), StoreError> {
@@ -625,19 +623,10 @@ pub(crate) fn mapped_manifest_sections(
         .find(|s| s.kind == kind::SHARD_TABLE)
         .ok_or_else(|| corrupt("manifest has no shard_table section"))?;
     let table = crate::shard::decode_shard_table(&table_sec.payload)?;
-    if table.shard_format_version != crate::shard::SHARD_FORMAT_VERSION_MAPPED {
-        // A perfectly healthy streamed-layout snapshot: the caller asked
-        // for a zero-copy open of a directory that only supports the
-        // streamed decoder. Typed, so the CLI can fall back cleanly.
-        return Err(StoreError::VersionMismatch {
-            found: table.shard_format_version,
-            expected: crate::shard::SHARD_FORMAT_VERSION_MAPPED,
-        });
-    }
     let lens_sec = sections
         .iter()
         .find(|s| s.kind == kind::DOC_LENS)
-        .ok_or_else(|| corrupt("mapped manifest has no doc_lens section"))?;
+        .ok_or_else(|| corrupt("manifest has no doc_lens section"))?;
     let doc_lens = decode_doc_lens(&lens_sec.payload)?;
     Ok((table, doc_lens))
 }
@@ -660,7 +649,7 @@ pub(crate) fn decode_doc_lens(payload: &[u8]) -> Result<Vec<u32>, StoreError> {
 /// turns out stale (stat or digest disagree) so the caller can fall back
 /// without treating it as corruption.
 fn read_manifest_fast(path: &Path, sc: &Sidecar) -> Result<Option<ManifestIndexOnly>, StoreError> {
-    if !sc.attests(path, SHARD_FORMAT_VERSION_MAPPED, sc.digest) {
+    if !sc.attests(path, SHARD_FORMAT_VERSION, sc.digest) {
         // Self-anchored check is vacuous for the digest; stat must match.
         return Ok(None);
     }
@@ -755,15 +744,9 @@ fn read_manifest_fast(path: &Path, sc: &Sidecar) -> Result<Option<ManifestIndexO
         }
     }
     let (Some(table_payload), Some(lens_payload)) = (table_payload, lens_payload) else {
-        return Ok(None); // not a mapped-layout manifest — slow path decides
+        return Ok(None); // a section is missing — the slow path decides
     };
     let table = crate::shard::decode_shard_table(&table_payload)?;
-    if table.shard_format_version != SHARD_FORMAT_VERSION_MAPPED {
-        return Err(StoreError::VersionMismatch {
-            found: table.shard_format_version,
-            expected: SHARD_FORMAT_VERSION_MAPPED,
-        });
-    }
     let doc_lens = decode_doc_lens(&lens_payload)?;
     Ok(Some(ManifestIndexOnly {
         table,

@@ -1,99 +1,68 @@
-//! Sharded snapshots: a manifest plus N per-term-range postings shards.
+//! Sharded snapshots: a manifest plus N per-term-range postings shards —
+//! the store's one on-disk format.
 //!
-//! A sharded snapshot is a *directory*:
+//! A snapshot is a *directory*:
 //!
 //! ```text
 //! <dir>/manifest.rcm       magic RCMANI01 — everything small: meta,
-//!                          graph, web, truth, corpus table, and the
-//!                          shard table (ranges, byte lengths, digests)
-//! <dir>/shard-000.rcshard  magic RCSHRD01 — shard identity + the CSR
+//!                          graph, web, truth, corpus table, raw
+//!                          doc_lens, and the shard table (ranges, byte
+//!                          lengths, digests)
+//! <dir>/shard-000.rcshard  magic RCSHRD02 — the block-compressed
 //! <dir>/shard-001.rcshard  term/entity postings of one contiguous
-//! …                        dense-id range, offsets rebased to 0
+//! …                        dense-id range, 64-byte aligned so every
+//!                          array is borrowed straight from mmap(2)
+//! <dir>/*.rcv              validity sidecars (see `sidecar`)
 //! ```
 //!
-//! Both file kinds reuse the envelope of `container` (same header, table,
-//! checksum layout — only the magic differs) and the section codecs of
-//! `codec` verbatim, so there is exactly one streaming decoder and one
-//! set of payload formats to maintain.
+//! The manifest uses the checksummed envelope of `container`; the shard
+//! layout and its verify-then-map opener live in `mapped`. A snapshot
+//! that once would have been one file is simply a one-shard directory.
 //!
-//! Why shards load faster, even on one core: the manifest records each
-//! shard's trailing whole-file CRC-64, so [`load_sharded`] reads every
-//! shard under [`Integrity::External`] — a *single* digest pass per
-//! payload byte, checked simultaneously against the file's own trailer
-//! and the manifest's promise — where the monolithic path digests every
-//! byte twice (per-section CRC + whole-file CRC). With more cores,
-//! shards additionally decode + verify concurrently on the workspace's
-//! order-preserving `par_map` pool. Shard files are still written fully
-//! self-contained (per-section CRCs included), so any one shard can be
-//! inspected or verified on its own.
-//!
-//! The corruption contract extends the monolithic one: a promised shard
-//! file that is absent is [`StoreError::ShardMissing`]; a shard whose
-//! digest disagrees with the manifest is
-//! [`StoreError::ShardChecksumMismatch`]; duplicate, overlapping or
-//! gapped ranges in the shard table — and any disagreement between a
-//! shard's recorded identity and the manifest entry that named it — are
-//! [`StoreError::Corrupt`]; a `shard_format_version` this build does not
-//! write is [`StoreError::VersionMismatch`]. Nothing in this path panics
-//! on hostile input.
+//! The corruption contract: any damage to the manifest surfaces as the
+//! envelope's typed error; a promised shard file that is absent is
+//! [`StoreError::ShardMissing`]; a shard whose length or digest disagrees
+//! with the manifest is [`StoreError::ShardChecksumMismatch`]; duplicate,
+//! overlapping or gapped ranges in the shard table — and any
+//! disagreement between a shard's recorded identity and the manifest
+//! entry that named it — are [`StoreError::Corrupt`]; a
+//! `shard_format_version` other than [`SHARD_FORMAT_VERSION`] (including
+//! the retired streamed format 1) is [`StoreError::VersionMismatch`].
+//! Nothing in this path panics on hostile input.
 
-use crate::codec;
-use crate::container::{
-    kind, read_container_with, Integrity, Section, FLAG_BLOCK_POSTINGS,
-};
-#[cfg(not(feature = "blocks-off"))]
-use crate::container::{assemble_flags, FLAG_PACKED_SECTIONS};
-#[cfg(feature = "blocks-off")]
-use crate::container::assemble_with;
+use crate::container::{assemble, kind, read_container, Section, FLAG_PACKED_SECTIONS};
 use crate::err::StoreError;
 use crate::sidecar::{write_sidecar, Sidecar};
 use crate::wire::{put_len, put_u32, put_u64, Cursor};
 use crate::{decode_study, study_sections};
 use rightcrowd_core::par::par_map;
 use rightcrowd_core::AnalyzedCorpus;
-#[cfg(not(feature = "blocks-off"))]
-use rightcrowd_index::{pack_entity_parts, pack_term_parts};
 use rightcrowd_index::{IndexShard, InvertedIndex};
 use rightcrowd_synth::SyntheticDataset;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// The 8-byte magic of a sharded-snapshot manifest.
+/// The 8-byte magic of a snapshot manifest.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"RCMANI01";
 
-/// The 8-byte magic of a postings shard.
-pub const SHARD_MAGIC: [u8; 8] = *b"RCSHRD01";
+/// Revision of the shard format (`RCSHRD02`: fixed layout, 64-byte-aligned
+/// payloads, zero-copy openable — see [`crate::mapped`]). Recorded in the
+/// manifest's shard table and in every shard header, checked on open,
+/// independently of the envelope's `FORMAT_VERSION`. Revision 1 was the
+/// retired streamed `RCSHRD01` format.
+pub const SHARD_FORMAT_VERSION: u32 = 2;
 
-/// Revision of the streamed shard *payload* format (shard table + shard
-/// meta + sliced postings). Recorded in the manifest's shard table and
-/// checked on load, independently of the envelope's `FORMAT_VERSION`.
-pub const SHARD_FORMAT_VERSION: u32 = 1;
-
-/// Revision of the mapped (`RCSHRD02`) shard format: fixed layout,
-/// 64-byte-aligned payloads, zero-copy openable (see [`crate::mapped`]).
-pub const SHARD_FORMAT_VERSION_MAPPED: u32 = 2;
-
-/// The manifest's file name inside a sharded-snapshot directory.
+/// The manifest's file name inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "manifest.rcm";
 
 /// Upper bound on the shard count a reader will accept; anything larger
 /// is a forged shard table.
 const MAX_SHARDS: usize = 4096;
 
-/// The section order a streamed-layout manifest must use.
-pub const MANIFEST_SECTION_ORDER: [u32; 6] = [
-    kind::META,
-    kind::GRAPH,
-    kind::WEB,
-    kind::TRUTH,
-    kind::CORPUS,
-    kind::SHARD_TABLE,
-];
-
-/// The section order a mapped-layout manifest must use: the streamed one
-/// plus a raw `doc_lens` section, so an index-only warm open never has
-/// to unpack the corpus.
-pub const MANIFEST_SECTION_ORDER_MAPPED: [u32; 7] = [
+/// The section order a manifest must use: the five study sections, the
+/// raw `doc_lens` (so an index-only warm open never has to unpack the
+/// corpus), then the shard table.
+pub const MANIFEST_SECTION_ORDER: [u32; 7] = [
     kind::META,
     kind::GRAPH,
     kind::WEB,
@@ -102,14 +71,6 @@ pub const MANIFEST_SECTION_ORDER_MAPPED: [u32; 7] = [
     kind::DOC_LENS,
     kind::SHARD_TABLE,
 ];
-
-/// The section order a version-1 flags-0 shard file must use.
-pub const SHARD_SECTION_ORDER: [u32; 3] = [kind::SHARD_META, kind::TERM_INDEX, kind::ENTITY_INDEX];
-
-/// The section order of a [`FLAG_BLOCK_POSTINGS`] shard file: identical,
-/// with the CSR posting sections replaced by block-compressed ones.
-pub const SHARD_SECTION_ORDER_BLOCKS: [u32; 3] =
-    [kind::SHARD_META, kind::TERM_BLOCKS, kind::ENTITY_BLOCKS];
 
 /// One row of the manifest's shard table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,8 +81,8 @@ pub struct ShardEntry {
     pub entity_range: (u32, u32),
     /// Exact shard file size in bytes.
     pub byte_len: u64,
-    /// The shard file's trailing whole-file CRC-64/XZ — the external
-    /// digest its load is verified against.
+    /// The shard file's trailing whole-file CRC-64/XZ — the digest its
+    /// open is verified against.
     pub digest: u64,
     /// Per-shard feature flags; reserved, must be 0.
     pub flags: u32,
@@ -130,7 +91,7 @@ pub struct ShardEntry {
 /// The manifest's `shard_table` section, decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardTable {
-    /// Shard payload format revision (see [`SHARD_FORMAT_VERSION`]).
+    /// Shard format revision (see [`SHARD_FORMAT_VERSION`]).
     pub shard_format_version: u32,
     /// Total term vocabulary size the entries must tile.
     pub term_count: u64,
@@ -156,37 +117,35 @@ pub struct ShardedSaveStats {
 /// What [`load_sharded`] did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardedLoadStats {
-    /// Total bytes read and verified: manifest plus every shard.
+    /// Total bytes verified or mapped: manifest plus every shard.
     pub bytes: u64,
     /// Manifest file size in bytes.
     pub manifest_bytes: u64,
-    /// Number of shard files loaded.
+    /// Number of shard files opened.
     pub shard_count: usize,
-    /// Whether the shards were `RCSHRD02` files borrowed via `mmap(2)`
-    /// (vs streamed + reconstructed).
-    pub mapped: bool,
     /// The manifest's whole-file digest: a cheap identity fingerprint
     /// of the snapshot (it covers the shard table and thus every shard
     /// digest). Consumers like `/healthz` report it instead of hashing
     /// the corpus — which would page in every mapped byte on boot.
     pub manifest_digest: u64,
-    /// Wall time of read + verify + splice + reconstruct, milliseconds.
+    /// Wall time of read + verify + decode + map, milliseconds.
     pub elapsed_ms: f64,
 }
 
-/// The manifest's path inside a sharded-snapshot directory.
+/// The manifest's path inside a snapshot directory.
 pub fn manifest_path(dir: impl AsRef<Path>) -> PathBuf {
     dir.as_ref().join(MANIFEST_FILE)
 }
 
-/// The path of shard `index` inside a sharded-snapshot directory.
+/// The path of shard `index` inside a snapshot directory.
 pub fn shard_path(dir: impl AsRef<Path>, index: u32) -> PathBuf {
     dir.as_ref().join(format!("shard-{index:03}.rcshard"))
 }
 
-/// Whether `path` is a sharded-snapshot directory (contains a manifest).
-/// Monolithic snapshots are plain files, so this is the dispatch test for
-/// `--snapshot` arguments that accept either layout.
+/// Whether `path` is a snapshot directory (contains a manifest). This is
+/// the dispatch test for `--snapshot` arguments: a directory with a
+/// manifest loads, a missing path is a cache miss, anything else is
+/// refused.
 pub fn is_sharded(path: impl AsRef<Path>) -> bool {
     manifest_path(path).is_file()
 }
@@ -250,12 +209,10 @@ fn check_tiling(side: &str, ranges: impl Iterator<Item = (u32, u32)>, count: u64
 pub fn decode_shard_table(payload: &[u8]) -> Result<ShardTable, StoreError> {
     let mut c = Cursor::new(payload);
     let shard_format_version = c.u32()?;
-    if shard_format_version != SHARD_FORMAT_VERSION
-        && shard_format_version != SHARD_FORMAT_VERSION_MAPPED
-    {
+    if shard_format_version != SHARD_FORMAT_VERSION {
         return Err(StoreError::VersionMismatch {
             found: shard_format_version,
-            expected: SHARD_FORMAT_VERSION_MAPPED,
+            expected: SHARD_FORMAT_VERSION,
         });
     }
     let term_count = c.u64()?;
@@ -321,96 +278,47 @@ pub(crate) fn decode_shard_meta(payload: &[u8]) -> Result<ShardMeta, StoreError>
 
 // ----- saving -----------------------------------------------------------
 
-/// Serialises one shard into a complete, self-contained `RCSHRD01` file.
-///
-/// The default layout carries block-compressed postings
-/// ([`FLAG_BLOCK_POSTINGS`]) with *raw* section wrapping — shard payloads
-/// are already bit-packed, and keeping them byte-addressable keeps the
-/// fault-injection suite's consistent-rewrite attacks expressible. Under
-/// `blocks-off` the legacy flags-0 CSR layout is written.
-#[cfg(not(feature = "blocks-off"))]
-fn encode_shard_file(shard: &IndexShard, shard_count: usize) -> Vec<u8> {
-    let sections = [
-        Section { kind: kind::SHARD_META, payload: encode_shard_meta(shard, shard_count) },
-        Section {
-            kind: kind::TERM_BLOCKS,
-            payload: codec::encode_term_blocks(
-                &shard.terms.vocab,
-                &shard.terms.irf,
-                &pack_term_parts(&shard.terms),
-            ),
-        },
-        Section {
-            kind: kind::ENTITY_BLOCKS,
-            payload: codec::encode_entity_blocks(
-                &shard.entities.vocab,
-                &shard.entities.eirf,
-                &pack_entity_parts(&shard.entities),
-            ),
-        },
-    ];
-    assemble_flags(&SHARD_MAGIC, &sections, FLAG_BLOCK_POSTINGS)
-}
-
-/// See the default-feature variant above.
-#[cfg(feature = "blocks-off")]
-fn encode_shard_file(shard: &IndexShard, shard_count: usize) -> Vec<u8> {
-    let sections = [
-        Section { kind: kind::SHARD_META, payload: encode_shard_meta(shard, shard_count) },
-        Section { kind: kind::TERM_INDEX, payload: codec::encode_term_index(&shard.terms) },
-        Section { kind: kind::ENTITY_INDEX, payload: codec::encode_entity_index(&shard.entities) },
-    ];
-    assemble_with(&SHARD_MAGIC, &sections)
-}
-
 /// The trailing whole-file CRC-64 of an assembled container.
 pub(crate) fn trailing_digest(bytes: &[u8]) -> u64 {
     let tail: [u8; 8] = bytes[bytes.len() - 8..].try_into().expect("assembled container");
     u64::from_le_bytes(tail)
 }
 
-/// On-disk layout of a sharded snapshot's shard files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// On-disk layout of a snapshot's shard files. One layout remains; the
+/// type survives only so existing [`save_sharded_with`] callers compile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotLayout {
-    /// `RCSHRD01`: streamed, self-contained shard files (the default).
-    #[default]
-    Streamed,
     /// `RCSHRD02`: fixed-layout, alignment-padded shard files that every
-    /// `--snapshot` consumer opens zero-copy via `mmap(2)` (see
-    /// [`crate::mapped`]).
+    /// `--snapshot` consumer opens zero-copy via `mmap(2)`.
     Mapped,
 }
 
-/// [`save_sharded_with`] in the default streamed layout.
-pub fn save_sharded(
-    dir: impl AsRef<Path>,
-    ds: &SyntheticDataset,
-    corpus: &AnalyzedCorpus,
-    shards: usize,
-    threads: usize,
-) -> Result<ShardedSaveStats, StoreError> {
-    save_sharded_with(dir, ds, corpus, shards, threads, SnapshotLayout::Streamed)
-}
-
-/// Writes a sharded snapshot of `(ds, corpus)` into directory `dir`:
-/// `shards` per-term-range postings shards (encoded on up to `threads`
-/// workers, capped at the machine's available parallelism) plus the
-/// manifest. Deterministic for a given `(ds, corpus, shards, layout)`,
-/// like the monolithic writer. Stale `*.rcshard` files (and their `.rcv`
-/// sidecars) from an earlier, wider save are removed so the directory
-/// always equals the manifest's promise.
-///
-/// Under [`SnapshotLayout::Mapped`] the shards are `RCSHRD02` files, the
-/// manifest additionally carries the raw `doc_lens` section, and validity
-/// sidecars are written for every file — the writer just computed each
-/// digest, so the *first* open is already a warm one.
+/// [`save_sharded`] under an explicit (and only) layout.
 pub fn save_sharded_with(
     dir: impl AsRef<Path>,
     ds: &SyntheticDataset,
     corpus: &AnalyzedCorpus,
     shards: usize,
     threads: usize,
-    layout: SnapshotLayout,
+    _layout: SnapshotLayout,
+) -> Result<ShardedSaveStats, StoreError> {
+    save_sharded(dir, ds, corpus, shards, threads)
+}
+
+/// Writes a snapshot of `(ds, corpus)` into directory `dir`: `shards`
+/// per-term-range `RCSHRD02` shards (encoded on up to `threads` workers,
+/// capped at the machine's available parallelism), the manifest, and a
+/// validity sidecar for every file — the writer just computed each
+/// digest, so the *first* open is already a warm one. Deterministic for
+/// a given `(ds, corpus, shards)`. Stale `*.rcshard` files (and every
+/// `.rcv` sidecar) from an earlier, wider save are removed so the
+/// directory always equals the manifest's promise.
+pub fn save_sharded(
+    dir: impl AsRef<Path>,
+    ds: &SyntheticDataset,
+    corpus: &AnalyzedCorpus,
+    shards: usize,
+    threads: usize,
 ) -> Result<ShardedSaveStats, StoreError> {
     let _span = rightcrowd_obs::span!("store.save_sharded");
     let start = Instant::now();
@@ -424,10 +332,8 @@ pub fn save_sharded_with(
 
     // Encoding is pure CPU; cap workers at the core count (see load).
     let threads = threads.min(rightcrowd_core::par::default_threads()).max(1);
-    let files: Vec<Vec<u8>> = par_map(&index_shards, threads, |s| match layout {
-        SnapshotLayout::Streamed => encode_shard_file(s, shard_count),
-        SnapshotLayout::Mapped => crate::mapped::encode_mapped_shard(s, shard_count),
-    });
+    let files: Vec<Vec<u8>> =
+        par_map(&index_shards, threads, |s| crate::mapped::encode_mapped_shard(s, shard_count));
 
     let entries: Vec<ShardEntry> = index_shards
         .iter()
@@ -440,32 +346,23 @@ pub fn save_sharded_with(
             flags: 0,
         })
         .collect();
-    let shard_format_version = match layout {
-        SnapshotLayout::Streamed => SHARD_FORMAT_VERSION,
-        SnapshotLayout::Mapped => SHARD_FORMAT_VERSION_MAPPED,
-    };
     let table = ShardTable {
-        shard_format_version,
+        shard_format_version: SHARD_FORMAT_VERSION,
         term_count: parts.terms.vocab.len() as u64,
         entity_count: parts.entities.vocab.len() as u64,
         entries,
     };
 
     let mut sections = study_sections(ds, corpus, &parts.doc_lens);
-    if layout == SnapshotLayout::Mapped {
-        sections.push(Section {
-            kind: kind::DOC_LENS,
-            payload: crate::mapped::encode_doc_lens(&parts.doc_lens),
-        });
-    }
+    sections.push(Section {
+        kind: kind::DOC_LENS,
+        payload: crate::mapped::encode_doc_lens(&parts.doc_lens),
+    });
     sections.push(Section { kind: kind::SHARD_TABLE, payload: encode_shard_table(&table) });
     // The manifest carries the text-heavy study sections, so it alone gets
     // the byte compressor ([`FLAG_PACKED_SECTIONS`]); postings compression
-    // lives in the shard files' block sections.
-    #[cfg(not(feature = "blocks-off"))]
-    let manifest = assemble_flags(&MANIFEST_MAGIC, &sections, FLAG_PACKED_SECTIONS);
-    #[cfg(feature = "blocks-off")]
-    let manifest = assemble_with(&MANIFEST_MAGIC, &sections);
+    // lives in the shard files' packed blocks.
+    let manifest = assemble(&MANIFEST_MAGIC, &sections, FLAG_PACKED_SECTIONS);
 
     let mut total = manifest.len() as u64;
     for (i, bytes) in files.iter().enumerate() {
@@ -475,23 +372,17 @@ pub fn save_sharded_with(
     std::fs::write(manifest_path(dir), &manifest).map_err(StoreError::Io)?;
     remove_stale_shards(dir, shard_count)?;
 
-    if layout == SnapshotLayout::Mapped {
-        // The writer just computed every digest, so it can honestly attest
-        // each file: the first open gets the microsecond path for free.
-        for (i, bytes) in files.iter().enumerate() {
-            let path = shard_path(dir, i as u32);
-            if let Ok(sc) =
-                Sidecar::for_file(&path, SHARD_FORMAT_VERSION_MAPPED, trailing_digest(bytes))
-            {
-                let _ = write_sidecar(&path, &sc);
-            }
+    // The writer just computed every digest, so it can honestly attest
+    // each file: the first open gets the microsecond path for free.
+    for (i, bytes) in files.iter().enumerate() {
+        let path = shard_path(dir, i as u32);
+        if let Ok(sc) = Sidecar::for_file(&path, SHARD_FORMAT_VERSION, trailing_digest(bytes)) {
+            let _ = write_sidecar(&path, &sc);
         }
-        let mpath = manifest_path(dir);
-        if let Ok(sc) =
-            Sidecar::for_file(&mpath, SHARD_FORMAT_VERSION_MAPPED, trailing_digest(&manifest))
-        {
-            let _ = write_sidecar(&mpath, &sc);
-        }
+    }
+    let mpath = manifest_path(dir);
+    if let Ok(sc) = Sidecar::for_file(&mpath, SHARD_FORMAT_VERSION, trailing_digest(&manifest)) {
+        let _ = write_sidecar(&mpath, &sc);
     }
 
     rightcrowd_obs::add(rightcrowd_obs::CounterId::SnapshotBytesWritten, total);
@@ -520,7 +411,7 @@ fn remove_stale_shards(dir: &Path, shard_count: usize) -> Result<(), StoreError>
 
 /// Deletes every `*.rcv` validity sidecar in `dir`. A save is about to
 /// change the files the sidecars attest, so all of them are stale by
-/// construction; the mapped writer re-creates fresh ones afterwards.
+/// construction; the writer re-creates fresh ones afterwards.
 fn remove_all_sidecars(dir: &Path) -> Result<(), StoreError> {
     for entry in std::fs::read_dir(dir).map_err(StoreError::Io)? {
         let path = entry.map_err(StoreError::Io)?.path();
@@ -533,129 +424,37 @@ fn remove_all_sidecars(dir: &Path) -> Result<(), StoreError> {
 
 // ----- loading ----------------------------------------------------------
 
-/// Reads, verifies and decodes one shard file under the manifest's
-/// external digest — the single-CRC-pass path.
-fn load_shard(dir: &Path, index: u32, entry: &ShardEntry, shard_count: usize) -> Result<(IndexShard, u64), StoreError> {
-    let _span = rightcrowd_obs::span!("store.load_shard");
-    let _timer = rightcrowd_obs::time(rightcrowd_obs::HistId::ShardLoadLatency);
-
-    let bytes = match std::fs::read(shard_path(dir, index)) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Err(StoreError::ShardMissing { index })
-        }
-        Err(e) => return Err(StoreError::Io(e)),
-    };
-    let (sections, n, flags) =
-        read_container_with(&bytes[..], &SHARD_MAGIC, Integrity::External { digest: entry.digest })
-            .map_err(|e| match e {
-                StoreError::ChecksumMismatch { section: "file" } => {
-                    StoreError::ShardChecksumMismatch { index }
-                }
-                other => other,
-            })?;
-
-    let blocked = flags & FLAG_BLOCK_POSTINGS != 0;
-    let order = if blocked { &SHARD_SECTION_ORDER_BLOCKS } else { &SHARD_SECTION_ORDER };
-    if sections.len() != order.len()
-        || sections.iter().zip(order).any(|(s, &k)| s.kind != k)
-    {
-        return Err(StoreError::Corrupt(format!(
-            "shard {index} has unexpected section layout {:?} (want {order:?})",
-            sections.iter().map(|s| s.kind).collect::<Vec<_>>()
-        )));
-    }
-
-    let meta = decode_shard_meta(&sections[0].payload)?;
-    let ShardMeta { index: recorded_index, shard_count: recorded_count, term_range, entity_range } =
-        meta;
-    if recorded_index != index
-        || recorded_count != shard_count as u32
-        || term_range != entry.term_range
-        || entity_range != entry.entity_range
-    {
-        return Err(StoreError::Corrupt(format!(
-            "shard {index} identity mismatch: file says shard {recorded_index}/{recorded_count} \
-             terms [{}, {}) entities [{}, {}), manifest says shard {index}/{shard_count} \
-             terms [{}, {}) entities [{}, {})",
-            term_range.0,
-            term_range.1,
-            entity_range.0,
-            entity_range.1,
-            entry.term_range.0,
-            entry.term_range.1,
-            entry.entity_range.0,
-            entry.entity_range.1,
-        )));
-    }
-
-    let (terms, entities) = if blocked {
-        (
-            codec::decode_term_blocks(&sections[1].payload)?,
-            codec::decode_entity_blocks(&sections[2].payload)?,
-        )
-    } else {
-        (
-            codec::decode_term_index(&sections[1].payload)?,
-            codec::decode_entity_index(&sections[2].payload)?,
-        )
-    };
-    Ok((IndexShard { index, term_range, entity_range, terms, entities }, n))
-}
-
-/// Reads, verifies and reconstructs a sharded snapshot from directory
-/// `dir`, decoding + digest-verifying shards on up to `threads` workers
-/// (capped at the machine's available parallelism — oversubscribing a
-/// CPU-bound decode only adds contention).
+/// Reads, verifies and reconstructs a snapshot from directory `dir`: the
+/// whole manifest is streamed and checksum-verified, the study replayed,
+/// and every shard opened through the verify-then-map path on up to
+/// `threads` workers (capped at the machine's available parallelism).
+/// This is the open every `--snapshot` consumer pays.
 ///
-/// Bit-for-bit equivalent to loading the monolithic snapshot of the same
-/// study: the spliced index satisfies `==` against the monolithic one, so
-/// every scoring path behaves identically (the parity suite enforces
+/// The mapped index satisfies `==` against the freshly built one, so
+/// every scoring path behaves identically (the parity suites enforce
 /// this for several shard counts).
 pub fn load_sharded(
     dir: impl AsRef<Path>,
     threads: usize,
 ) -> Result<(SyntheticDataset, AnalyzedCorpus, ShardedLoadStats), StoreError> {
     let _span = rightcrowd_obs::span!("store.load_sharded");
+    let _timer = rightcrowd_obs::time(rightcrowd_obs::HistId::SnapshotLoadLatency);
     let start = Instant::now();
     let dir = dir.as_ref();
 
     let manifest_file = std::fs::read(manifest_path(dir)).map_err(StoreError::Io)?;
     let manifest_digest =
         if manifest_file.len() >= 8 { trailing_digest(&manifest_file) } else { 0 };
-    let (sections, manifest_bytes, _flags) = read_container_with(
-        &manifest_file[..],
-        &MANIFEST_MAGIC,
-        Integrity::SelfContained,
-    )?;
-    let mapped_layout = match sections.len() {
-        n if n == MANIFEST_SECTION_ORDER.len()
-            && sections.iter().zip(MANIFEST_SECTION_ORDER).all(|(s, k)| s.kind == k) =>
-        {
-            false
-        }
-        n if n == MANIFEST_SECTION_ORDER_MAPPED.len()
-            && sections.iter().zip(MANIFEST_SECTION_ORDER_MAPPED).all(|(s, k)| s.kind == k) =>
-        {
-            true
-        }
-        _ => {
-            return Err(StoreError::Corrupt(format!(
-                "unexpected manifest section layout {:?} (want {MANIFEST_SECTION_ORDER:?} or \
-                 {MANIFEST_SECTION_ORDER_MAPPED:?})",
-                sections.iter().map(|s| s.kind).collect::<Vec<_>>()
-            )))
-        }
-    };
-
-    let table = decode_shard_table(&sections.last().expect("checked order").payload)?;
-    let expected_version =
-        if mapped_layout { SHARD_FORMAT_VERSION_MAPPED } else { SHARD_FORMAT_VERSION };
-    if table.shard_format_version != expected_version {
+    let (sections, manifest_bytes, _flags) = read_container(&manifest_file[..], &MANIFEST_MAGIC)?;
+    // The shard-table version is checked before the section layout, so a
+    // directory in a retired format reports `VersionMismatch`.
+    let (table, raw_doc_lens) = crate::mapped::mapped_manifest_sections(&sections)?;
+    if sections.len() != MANIFEST_SECTION_ORDER.len()
+        || sections.iter().zip(MANIFEST_SECTION_ORDER).any(|(s, k)| s.kind != k)
+    {
         return Err(StoreError::Corrupt(format!(
-            "manifest section layout implies shard format {expected_version} but the shard \
-             table declares {}",
-            table.shard_format_version
+            "unexpected manifest section layout {:?} (want {MANIFEST_SECTION_ORDER:?})",
+            sections.iter().map(|s| s.kind).collect::<Vec<_>>()
         )));
     }
     let (ds, docs, dropped, doc_lens) = decode_study([
@@ -665,61 +464,38 @@ pub fn load_sharded(
         &sections[3].payload,
         &sections[4].payload,
     ])?;
-    if mapped_layout {
-        // The raw doc_lens section exists for index-only warm opens; a
-        // full load cross-checks it against the corpus-derived truth.
-        let raw = crate::mapped::decode_doc_lens(&sections[5].payload)?;
-        if raw != doc_lens {
-            return Err(StoreError::Corrupt(
-                "manifest doc_lens section disagrees with the corpus section".into(),
-            ));
-        }
+    // The raw doc_lens section exists for index-only warm opens; a full
+    // load cross-checks it against the corpus-derived truth.
+    if raw_doc_lens != doc_lens {
+        return Err(StoreError::Corrupt(
+            "manifest doc_lens section disagrees with the corpus section".into(),
+        ));
     }
 
-    // Decode + digest-verify every shard, concurrently when threads allow,
-    // with results back in shard order for the splice. The worker count is
-    // capped at the machine's parallelism: shard files sit in the page
-    // cache after the manifest read, so the work is CPU-bound and workers
-    // past the core count only add scheduler contention.
+    // Open every shard, concurrently when threads allow, with results back
+    // in shard order. The worker count is capped at the machine's
+    // parallelism: a cold open is a CPU-bound CRC + verification pass, and
+    // workers past the core count only add scheduler contention.
     let shard_count = table.entries.len();
     let threads = threads.min(rightcrowd_core::par::default_threads()).max(1);
     let jobs: Vec<(u32, ShardEntry)> =
         table.entries.iter().enumerate().map(|(i, e)| (i as u32, *e)).collect();
-
-    let (index, shard_bytes);
-    if mapped_layout {
-        let results = par_map(&jobs, threads, |(i, entry)| {
-            crate::mapped::open_mapped_shard(&shard_path(dir, *i), *i, entry, shard_count)
-        });
-        let mut views = Vec::with_capacity(shard_count);
-        let mut bytes = 0u64;
-        for result in results {
-            let opened = result?;
-            bytes += opened.bytes;
-            views.push(opened.view);
-        }
-        index = InvertedIndex::from_mapped(views, doc_lens).map_err(StoreError::Corrupt)?;
-        shard_bytes = bytes;
-        // The full manifest verification that just happened earns the
-        // manifest its sidecar, so the next open takes the fast path.
-        let mpath = manifest_path(dir);
-        if let Ok(sc) =
-            crate::sidecar::Sidecar::for_file(&mpath, SHARD_FORMAT_VERSION_MAPPED, manifest_digest)
-        {
-            let _ = write_sidecar(&mpath, &sc);
-        }
-    } else {
-        let results =
-            par_map(&jobs, threads, |(i, entry)| load_shard(dir, *i, entry, shard_count));
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut bytes = 0u64;
-        for result in results {
-            let (shard, n) = result?;
-            bytes += n;
-            shards.push(shard);
-        }
-        index = InvertedIndex::from_shards(shards, doc_lens).map_err(StoreError::Corrupt)?;
-        shard_bytes = bytes;
+    let results = par_map(&jobs, threads, |(i, entry)| {
+        crate::mapped::open_mapped_shard(&shard_path(dir, *i), *i, entry, shard_count)
+    });
+    let mut views = Vec::with_capacity(shard_count);
+    let mut shard_bytes = 0u64;
+    for result in results {
+        let opened = result?;
+        shard_bytes += opened.bytes;
+        views.push(opened.view);
+    }
+    let index = InvertedIndex::from_mapped(views, doc_lens).map_err(StoreError::Corrupt)?;
+    // The full manifest verification that just happened earns the
+    // manifest its sidecar, so the next open takes the fast path.
+    let mpath = manifest_path(dir);
+    if let Ok(sc) = Sidecar::for_file(&mpath, SHARD_FORMAT_VERSION, manifest_digest) {
+        let _ = write_sidecar(&mpath, &sc);
     }
     let corpus = AnalyzedCorpus::from_parts(index, docs, dropped).map_err(StoreError::Corrupt)?;
 
@@ -733,7 +509,6 @@ pub fn load_sharded(
             bytes: manifest_bytes + shard_bytes,
             manifest_bytes,
             shard_count,
-            mapped: mapped_layout,
             manifest_digest,
             elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
         },
@@ -762,14 +537,14 @@ pub struct MappedOpenStats {
     pub elapsed_ms: f64,
 }
 
-/// Opens the *index* of a mapped-layout sharded snapshot zero-copy:
-/// verify-sidecar-then-map per file, no study decode, no postings copy.
+/// Opens the *index* of a snapshot zero-copy: verify-sidecar-then-map
+/// per file, no study decode, no postings copy.
 ///
 /// This is the warm-open entry point for query-serving consumers that
-/// don't need the synthetic study (daemon boot, bench open legs). The
-/// returned index borrows every array from the mappings and scores
-/// bit-identically to the streamed load (the parity suites pin this).
-/// Fails with [`StoreError::VersionMismatch`] on a streamed-layout
+/// don't need the synthetic study (bench open legs). The returned index
+/// borrows every array from the mappings and scores bit-identically to
+/// the built one (the parity suites pin this). Fails with
+/// [`StoreError::VersionMismatch`] on a retired-format
 /// (`shard_format_version` 1) snapshot.
 pub fn open_mapped(dir: impl AsRef<Path>) -> Result<(InvertedIndex, MappedOpenStats), StoreError> {
     let _span = rightcrowd_obs::span!("store.open_mapped");
@@ -777,12 +552,6 @@ pub fn open_mapped(dir: impl AsRef<Path>) -> Result<(InvertedIndex, MappedOpenSt
     let dir = dir.as_ref();
 
     let manifest = crate::mapped::read_manifest_index_only(dir)?;
-    if manifest.table.shard_format_version != SHARD_FORMAT_VERSION_MAPPED {
-        return Err(StoreError::VersionMismatch {
-            found: manifest.table.shard_format_version,
-            expected: SHARD_FORMAT_VERSION_MAPPED,
-        });
-    }
     let shard_count = manifest.table.entries.len();
     let mut views = Vec::with_capacity(shard_count);
     let mut mapped_bytes = 0u64;
@@ -807,20 +576,6 @@ pub fn open_mapped(dir: impl AsRef<Path>) -> Result<(InvertedIndex, MappedOpenSt
             elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
         },
     ))
-}
-
-/// Whether `path` is a *mapped-layout* sharded snapshot, detected from
-/// the first shard file's magic without touching the manifest.
-pub fn is_mapped_snapshot(path: impl AsRef<Path>) -> bool {
-    let shard0 = shard_path(path, 0);
-    let mut magic = [0u8; 8];
-    match std::fs::File::open(shard0) {
-        Ok(mut f) => {
-            std::io::Read::read_exact(&mut f, &mut magic).is_ok()
-                && magic == crate::mapped::MAPPED_SHARD_MAGIC
-        }
-        Err(_) => false,
-    }
 }
 
 #[cfg(test)]
@@ -852,19 +607,19 @@ mod tests {
         t.shard_format_version = 9;
         match decode_shard_table(&encode_shard_table(&t)) {
             Err(StoreError::VersionMismatch { found: 9, expected }) => {
-                assert_eq!(expected, SHARD_FORMAT_VERSION_MAPPED);
+                assert_eq!(expected, SHARD_FORMAT_VERSION);
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
     }
 
     #[test]
-    fn shard_table_accepts_both_live_versions() {
-        for version in [SHARD_FORMAT_VERSION, SHARD_FORMAT_VERSION_MAPPED] {
-            let mut t = table(vec![entry((0, 1), (0, 1))], 1, 1);
-            t.shard_format_version = version;
-            let decoded = decode_shard_table(&encode_shard_table(&t)).unwrap();
-            assert_eq!(decoded.shard_format_version, version);
+    fn shard_table_refuses_the_retired_streamed_version() {
+        let mut t = table(vec![entry((0, 1), (0, 1))], 1, 1);
+        t.shard_format_version = 1;
+        match decode_shard_table(&encode_shard_table(&t)) {
+            Err(StoreError::VersionMismatch { found: 1, expected: 2 }) => {}
+            other => panic!("expected VersionMismatch 1 vs 2, got {other:?}"),
         }
     }
 

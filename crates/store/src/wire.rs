@@ -69,12 +69,6 @@ pub fn put_u32s(buf: &mut Vec<u8>, vs: &[u32]) {
     }
 }
 
-/// Appends a length-prefixed raw byte blob.
-pub fn put_blob(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_len(buf, bytes.len());
-    buf.extend_from_slice(bytes);
-}
-
 // ----- reading ----------------------------------------------------------
 
 /// A bounds-checked reader over one section payload.
@@ -181,32 +175,6 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    /// Reads a length-prefixed `u64` array.
-    pub fn u64s(&mut self) -> Result<Vec<u64>, StoreError> {
-        let len = self.len(8)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed raw byte blob written by [`put_blob`].
-    pub fn blob(&mut self) -> Result<Vec<u8>, StoreError> {
-        let len = self.len(1)?;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    /// Reads a length-prefixed `f64` array.
-    pub fn f64s(&mut self) -> Result<Vec<f64>, StoreError> {
-        let len = self.len(8)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.f64()?);
-        }
-        Ok(out)
-    }
-
     /// Asserts the payload was consumed exactly.
     pub fn finish(&self, section: &str) -> Result<(), StoreError> {
         if self.remaining() != 0 {
@@ -234,7 +202,6 @@ mod tests {
         put_opt_u32(&mut buf, Some(42));
         put_opt_u32(&mut buf, None);
         put_u32s(&mut buf, &[1, 2, 3]);
-        put_blob(&mut buf, &[0xAA, 0, 0xBB]);
 
         let mut c = Cursor::new(&buf);
         assert_eq!(c.u8().unwrap(), 7);
@@ -246,7 +213,6 @@ mod tests {
         assert_eq!(c.opt_u32().unwrap(), Some(42));
         assert_eq!(c.opt_u32().unwrap(), None);
         assert_eq!(c.u32s().unwrap(), vec![1, 2, 3]);
-        assert_eq!(c.blob().unwrap(), vec![0xAA, 0, 0xBB]);
         c.finish("test").unwrap();
     }
 

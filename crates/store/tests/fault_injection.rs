@@ -1,43 +1,74 @@
-//! Fault-injection harness: bit-flips and truncations at every section
-//! boundary (and inside every byte region) of a real snapshot must
-//! produce the documented typed [`StoreError`] — and must never panic.
-//!
-//! The acceptance contract (ISSUE 4): *all fault-injection cases
-//! (bit-flip + truncation per section) return the expected typed
-//! `StoreError` with zero panics.*
+//! Fault-injection harness over the manifest: bit-flips and truncations
+//! at every section boundary (and inside every byte region) of a real
+//! snapshot's `manifest.rcm` must produce the documented typed
+//! [`StoreError`] from both openers — the full [`load_sharded`] and the
+//! index-only [`open_mapped`] — and must never panic. Shard-file damage
+//! is covered by `sharded.rs` and `mapped.rs`.
 
 use rightcrowd_core::testkit;
-use rightcrowd_store::{from_bytes, layout, to_bytes, StoreError, FORMAT_VERSION};
+use rightcrowd_store::{
+    crc64, layout, load_sharded, manifest_path, open_mapped, save_sharded, sidecar_path,
+    StoreError, FORMAT_VERSION, MANIFEST_MAGIC,
+};
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-/// One snapshot of the tiny preset, built once for the whole suite.
-fn snapshot() -> &'static Vec<u8> {
+/// The pristine manifest bytes of a 2-shard tiny snapshot, saved once
+/// for the whole suite.
+fn manifest() -> &'static Vec<u8> {
     static CELL: OnceLock<Vec<u8>> = OnceLock::new();
     CELL.get_or_init(|| {
-        let (ds, corpus) = testkit::tiny();
-        to_bytes(ds, corpus)
+        let dir = snapshot_dir("pristine");
+        let bytes = std::fs::read(manifest_path(&dir)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        bytes
     })
 }
 
-#[test]
-fn pristine_snapshot_loads() {
-    let (ds, corpus) = from_bytes(snapshot()).expect("pristine snapshot must load");
-    let (orig_ds, orig_corpus) = testkit::tiny();
-    assert_eq!(ds.graph().counts(), orig_ds.graph().counts());
-    assert_eq!(corpus.retained(), orig_corpus.retained());
+/// A fresh 2-shard tiny snapshot directory for one test, without the
+/// manifest's validity sidecar, so every open below streams and verifies
+/// the (damaged) manifest in full.
+fn snapshot_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rcstore-fault-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (ds, corpus) = testkit::tiny();
+    save_sharded(&dir, ds, corpus, 2, 2).expect("save");
+    std::fs::remove_file(sidecar_path(&manifest_path(&dir))).expect("manifest sidecar");
+    dir
+}
+
+/// Writes `damaged` as the manifest and opens the snapshot both ways.
+/// Both openers must refuse with the same typed error, which is returned.
+fn open_damaged(dir: &Path, damaged: &[u8]) -> StoreError {
+    std::fs::write(manifest_path(dir), damaged).unwrap();
+    let full = match load_sharded(dir, 1) {
+        Err(e) => e,
+        Ok(_) => panic!("damaged manifest must not load"),
+    };
+    let index_only = match open_mapped(dir) {
+        Err(e) => e,
+        Ok(_) => panic!("damaged manifest must not open"),
+    };
+    assert_eq!(format!("{full:?}"), format!("{index_only:?}"), "openers disagree");
+    full
 }
 
 #[test]
-fn layout_maps_the_whole_file() {
-    let bytes = snapshot();
-    let infos = layout(bytes).unwrap();
+fn pristine_manifest_loads() {
+    let dir = snapshot_dir("ok");
+    let (ds, corpus, stats) = load_sharded(&dir, 1).expect("pristine snapshot must load");
+    let (orig_ds, orig_corpus) = testkit::tiny();
+    assert_eq!(ds.graph().counts(), orig_ds.graph().counts());
+    assert_eq!(corpus.retained(), orig_corpus.retained());
+    assert_eq!(stats.manifest_bytes, manifest().len() as u64);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn layout_maps_the_whole_manifest() {
+    let bytes = manifest();
+    let infos = layout(bytes, &MANIFEST_MAGIC).unwrap();
     let names: Vec<_> = infos.iter().map(|i| i.name).collect();
-    // The default build writes block-compressed postings sections; the
-    // `blocks-off` build writes the legacy flat-CSR ones.
-    #[cfg(not(feature = "blocks-off"))]
-    let postings = ["term_blocks", "entity_blocks"];
-    #[cfg(feature = "blocks-off")]
-    let postings = ["term_index", "entity_index"];
     assert_eq!(
         names,
         vec![
@@ -48,8 +79,8 @@ fn layout_maps_the_whole_file() {
             "web",
             "truth",
             "corpus",
-            postings[0],
-            postings[1],
+            "doc_lens",
+            "shard_table",
             "file_crc"
         ]
     );
@@ -62,14 +93,15 @@ fn layout_maps_the_whole_file() {
 /// and last byte.
 #[test]
 fn bit_flip_in_each_section_names_the_section() {
-    let bytes = snapshot();
-    let infos = layout(bytes).unwrap();
+    let dir = snapshot_dir("sections");
+    let bytes = manifest();
+    let infos = layout(bytes, &MANIFEST_MAGIC).unwrap();
     for info in infos.iter().filter(|i| i.kind != 0) {
         for probe in [info.offset, info.offset + info.len / 2, info.offset + info.len - 1] {
             let mut damaged = bytes.clone();
             damaged[probe] ^= 0x01;
-            match from_bytes(&damaged) {
-                Err(StoreError::ChecksumMismatch { section }) => {
+            match open_damaged(&dir, &damaged) {
+                StoreError::ChecksumMismatch { section } => {
                     assert_eq!(
                         section, info.name,
                         "flip at byte {probe} should blame `{}`",
@@ -83,44 +115,54 @@ fn bit_flip_in_each_section_names_the_section() {
             }
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn bit_flip_in_magic_is_bad_magic() {
-    let mut damaged = snapshot().clone();
+    let dir = snapshot_dir("magic");
+    let mut damaged = manifest().clone();
     damaged[0] ^= 0x01;
-    assert!(matches!(from_bytes(&damaged), Err(StoreError::BadMagic)));
+    assert!(matches!(open_damaged(&dir, &damaged), StoreError::BadMagic));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn bit_flip_in_version_is_version_mismatch() {
     // The version word is validated before the header checksum on
-    // purpose: an old or future snapshot should say "wrong version", not
+    // purpose: an old or future manifest should say "wrong version", not
     // "corrupt".
-    let mut damaged = snapshot().clone();
+    let dir = snapshot_dir("version");
+    let mut damaged = manifest().clone();
     damaged[8] ^= 0x02;
-    match from_bytes(&damaged) {
-        Err(StoreError::VersionMismatch { found, expected }) => {
+    match open_damaged(&dir, &damaged) {
+        StoreError::VersionMismatch { found, expected } => {
             assert_eq!(found, FORMAT_VERSION ^ 0x02);
             assert_eq!(expected, FORMAT_VERSION);
         }
         other => panic!("expected VersionMismatch, got {other:?}"),
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn bit_flip_in_flags_is_unsupported_flags() {
     // Flipping an *unknown* flag bit is a compatibility refusal that
-    // reports the resulting flag word (pristine flags are no longer 0 in
-    // the default build, so compute the expectation from the file).
-    let bytes = snapshot();
+    // reports the resulting flag word.
+    let dir = snapshot_dir("flags");
+    let bytes = manifest();
     let want = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) ^ 0x04;
     let mut damaged = bytes.clone();
     damaged[12] ^= 0x04;
-    match from_bytes(&damaged) {
-        Err(StoreError::UnsupportedFlags { flags }) => assert_eq!(flags, want),
+    match open_damaged(&dir, &damaged) {
+        StoreError::UnsupportedFlags { flags } => assert_eq!(flags, want),
         other => panic!("expected UnsupportedFlags, got {other:?}"),
     }
+    // Bit 2 marked the retired block-postings container; it is refused too.
+    let mut retired = bytes.clone();
+    retired[12] ^= 0x02;
+    assert!(matches!(open_damaged(&dir, &retired), StoreError::UnsupportedFlags { .. }));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -128,62 +170,71 @@ fn bit_flip_in_known_flag_is_header_checksum() {
     // Flipping a *defined* flag bit passes the compatibility gate (the
     // result is still a known combination) and is then caught as header
     // damage by the CRC.
-    let mut damaged = snapshot().clone();
+    let dir = snapshot_dir("known-flag");
+    let mut damaged = manifest().clone();
     damaged[12] ^= 0x01;
     assert!(matches!(
-        from_bytes(&damaged),
-        Err(StoreError::ChecksumMismatch { section: "header" })
+        open_damaged(&dir, &damaged),
+        StoreError::ChecksumMismatch { section: "header" }
     ));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn bit_flip_in_section_count_is_header_checksum() {
-    let mut damaged = snapshot().clone();
+    let dir = snapshot_dir("count");
+    let mut damaged = manifest().clone();
     damaged[16] ^= 0x01;
     assert!(matches!(
-        from_bytes(&damaged),
-        Err(StoreError::ChecksumMismatch { section: "header" })
+        open_damaged(&dir, &damaged),
+        StoreError::ChecksumMismatch { section: "header" }
     ));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn bit_flip_in_header_crc_is_header_checksum() {
-    let mut damaged = snapshot().clone();
+    let dir = snapshot_dir("header-crc");
+    let mut damaged = manifest().clone();
     damaged[20] ^= 0x01;
     assert!(matches!(
-        from_bytes(&damaged),
-        Err(StoreError::ChecksumMismatch { section: "header" })
+        open_damaged(&dir, &damaged),
+        StoreError::ChecksumMismatch { section: "header" }
     ));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn bit_flip_in_table_is_table_checksum() {
-    let bytes = snapshot();
-    let infos = layout(bytes).unwrap();
+    let dir = snapshot_dir("table");
+    let bytes = manifest();
+    let infos = layout(bytes, &MANIFEST_MAGIC).unwrap();
     let table = infos.iter().find(|i| i.name == "table").unwrap();
     for probe in [table.offset, table.offset + table.len / 2, table.offset + table.len - 1] {
         let mut damaged = bytes.clone();
         damaged[probe] ^= 0x01;
         assert!(
             matches!(
-                from_bytes(&damaged),
-                Err(StoreError::ChecksumMismatch { section: "table" })
+                open_damaged(&dir, &damaged),
+                StoreError::ChecksumMismatch { section: "table" }
             ),
             "flip at table byte {probe}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn bit_flip_in_trailing_digest_is_file_checksum() {
-    let bytes = snapshot();
-    let mut damaged = bytes.clone();
+    let dir = snapshot_dir("trailer");
+    let mut damaged = manifest().clone();
     let last = damaged.len() - 1;
     damaged[last] ^= 0x01;
     assert!(matches!(
-        from_bytes(&damaged),
-        Err(StoreError::ChecksumMismatch { section: "file" })
+        open_damaged(&dir, &damaged),
+        StoreError::ChecksumMismatch { section: "file" }
     ));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Truncating at every section boundary — and at interior points of each
@@ -191,8 +242,9 @@ fn bit_flip_in_trailing_digest_is_file_checksum() {
 /// misleading checksum error.
 #[test]
 fn truncation_at_every_boundary_is_truncated() {
-    let bytes = snapshot();
-    let infos = layout(bytes).unwrap();
+    let dir = snapshot_dir("truncate");
+    let bytes = manifest();
+    let infos = layout(bytes, &MANIFEST_MAGIC).unwrap();
     let mut cuts = vec![0usize];
     for info in &infos {
         cuts.push(info.offset); // start of each region
@@ -203,11 +255,12 @@ fn truncation_at_every_boundary_is_truncated() {
     cuts.dedup();
     for cut in cuts {
         assert!(cut < bytes.len());
-        match from_bytes(&bytes[..cut]) {
-            Err(StoreError::Truncated) => {}
+        match open_damaged(&dir, &bytes[..cut]) {
+            StoreError::Truncated => {}
             other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Re-signs a tampered section so the whole envelope verifies again:
@@ -215,8 +268,7 @@ fn truncation_at_every_boundary_is_truncated() {
 /// consistent-rewrite attacks below use this to get past every checksum
 /// and prove the *structural* validators still refuse the file.
 fn resign_section(damaged: &mut [u8], section_name: &str) {
-    use rightcrowd_store::crc64;
-    let infos = layout(damaged).unwrap();
+    let infos = layout(damaged, &MANIFEST_MAGIC).unwrap();
     let target = *infos.iter().find(|i| i.name == section_name).unwrap();
     let table = *infos.iter().find(|i| i.name == "table").unwrap();
 
@@ -246,81 +298,60 @@ fn resign_section(damaged: &mut [u8], section_name: &str) {
 
 /// A consistent rewrite — payload tampered *and* every checksum fixed up —
 /// defeats the envelope, so the structural validators must catch it as
-/// `Corrupt`. The default layout wraps every section with a packing tag,
-/// so the first forgeable structural byte is the tag itself; the
-/// `blocks-off` legacy layout exposes the corpus document tags directly.
+/// `Corrupt`. Manifest sections are wrapped with a packing tag, so the
+/// first forgeable structural byte is the tag itself.
 #[test]
 fn checksum_valid_structural_damage_is_corrupt() {
-    let bytes = snapshot();
-    let infos = layout(bytes).unwrap();
+    let dir = snapshot_dir("structural");
+    let bytes = manifest();
+    let infos = layout(bytes, &MANIFEST_MAGIC).unwrap();
     let corpus = infos.iter().find(|i| i.name == "corpus").unwrap();
 
     let mut damaged = bytes.clone();
-    #[cfg(not(feature = "blocks-off"))]
-    let (forge_at, needle) = (corpus.offset, "packing tag");
-    // Legacy payload: dropped(u64) + count(u64) + first document entry
-    // (tag u8 + id u32). Forge an invalid document tag.
-    #[cfg(feature = "blocks-off")]
-    let (forge_at, needle) = (corpus.offset + 16, "document tag");
-    damaged[forge_at] = 9;
+    damaged[corpus.offset] = 9;
     resign_section(&mut damaged, "corpus");
 
-    match from_bytes(&damaged) {
-        Err(StoreError::Corrupt(msg)) => {
-            assert!(msg.contains(needle), "unexpected corruption report: {msg}");
+    match open_damaged(&dir, &damaged) {
+        StoreError::Corrupt(msg) => {
+            assert!(msg.contains("packing tag"), "unexpected corruption report: {msg}");
         }
         other => panic!("expected Corrupt, got {other:?}"),
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Consistent rewrite of *block metadata*: forge a term block's recorded
-/// `last_doc` inside the term_blocks section (re-signing every CRC), and
-/// the delta-decode cross-check must refuse the postings.
-#[cfg(not(feature = "blocks-off"))]
+/// A re-signed `doc_lens` section that disagrees with the corpus table is
+/// refused by the full load, which cross-checks the two.
 #[test]
-fn checksum_valid_block_metadata_damage_is_corrupt() {
-    let bytes = snapshot();
-    let infos = layout(bytes).unwrap();
-    let tb = infos.iter().find(|i| i.name == "term_blocks").unwrap();
+fn checksum_valid_doc_lens_damage_is_corrupt() {
+    let dir = snapshot_dir("doc-lens");
+    let bytes = manifest();
+    let infos = layout(bytes, &MANIFEST_MAGIC).unwrap();
+    let lens = infos.iter().find(|i| i.name == "doc_lens").unwrap();
 
-    // Walk the wire layout to the last_doc array. Postings sections are
-    // wrapped raw, so the payload starts one tag byte in:
-    //   n_vocab u64, n_vocab × (len u64 + bytes), irf len u64 + 8·len,
-    //   block_offsets len u64 + 4·len, last_doc len u64 + 4·len, …
-    let payload = &bytes[tb.offset + 1..tb.offset + tb.len];
-    let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
-    let mut at = 0usize;
-    let n_vocab = u64_at(at);
-    at += 8;
-    for _ in 0..n_vocab {
-        at += 8 + u64_at(at);
-    }
-    at += 8 + 8 * u64_at(at); // irf
-    at += 8 + 4 * u64_at(at); // block_offsets
-    let n_blocks = u64_at(at);
-    assert!(n_blocks > 0, "tiny snapshot should have at least one term block");
-    let last_doc_at = tb.offset + 1 + at + 8; // first last_doc entry on disk
-
+    // Raw-wrapped payload: tag u8, count u64, then the u32 lengths.
     let mut damaged = bytes.clone();
-    damaged[last_doc_at] ^= 0x01;
-    resign_section(&mut damaged, "term_blocks");
-
-    match from_bytes(&damaged) {
-        Err(StoreError::Corrupt(msg)) => {
-            assert!(msg.contains("last doc"), "unexpected corruption report: {msg}");
-        }
-        other => panic!("expected Corrupt, got {other:?}"),
+    damaged[lens.offset + 1 + 8] ^= 0x01;
+    resign_section(&mut damaged, "doc_lens");
+    std::fs::write(manifest_path(&dir), &damaged).unwrap();
+    match load_sharded(&dir, 1) {
+        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("doc_lens"), "{msg}"),
+        Err(other) => panic!("expected Corrupt(doc_lens), got {other:?}"),
+        Ok(_) => panic!("a doc_lens forgery must not load"),
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Errors must render actionably (the CLI prints them verbatim).
 #[test]
 fn injected_errors_render_with_section_names() {
-    let bytes = snapshot();
-    let infos = layout(bytes).unwrap();
+    let dir = snapshot_dir("render");
+    let bytes = manifest();
+    let infos = layout(bytes, &MANIFEST_MAGIC).unwrap();
     let graph = infos.iter().find(|i| i.name == "graph").unwrap();
     let mut damaged = bytes.clone();
     damaged[graph.offset] ^= 0xFF;
-    let err = from_bytes(&damaged).unwrap_err();
+    let err = open_damaged(&dir, &damaged);
     assert!(err.to_string().contains("`graph`"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,13 +1,13 @@
-//! Mapped-snapshot (`RCSHRD02`) contract tests: owned ↔ mapped rank
-//! parity through real files, warm/cold open behaviour, the sidecar
-//! invalidation matrix (truncate / extend / touch / corrupt / forge),
-//! legacy-layout compatibility, and save determinism.
+//! Mapped-shard (`RCSHRD02`) contract tests: owned ↔ mapped parity
+//! through real files, warm/cold open behaviour, the sidecar
+//! invalidation matrix (truncate / extend / touch / corrupt / forge), and
+//! byte-identical re-saves of a loaded snapshot.
 
-use rightcrowd_core::{testkit, ExpertFinder, FinderConfig};
+use rightcrowd_core::testkit;
 use rightcrowd_store::{
     load_sharded, manifest_path, open_mapped, read_sidecar, save_sharded, save_sharded_with,
-    shard_path, sidecar_path, to_bytes, write_sidecar, Sidecar, SnapshotLayout, StoreError,
-    SHARD_FORMAT_VERSION_MAPPED,
+    shard_path, sidecar_path, write_sidecar, Sidecar, SnapshotLayout, StoreError,
+    SHARD_FORMAT_VERSION,
 };
 use std::path::{Path, PathBuf};
 
@@ -17,7 +17,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Saves the tiny study as an `n`-shard *mapped* snapshot.
+/// Saves the tiny study as an `n`-shard snapshot through the explicit-layout
+/// entry point external harnesses call.
 fn save_tiny_mapped(tag: &str, n: usize) -> PathBuf {
     let dir = temp_dir(tag);
     let (ds, corpus) = testkit::tiny();
@@ -46,42 +47,6 @@ fn resign_mapped_trailer(bytes: &mut [u8]) {
 }
 
 #[test]
-fn mapped_load_is_bit_identical_to_streamed_for_1_and_3_shards() {
-    let (ds, corpus) = testkit::tiny();
-    for n in [1usize, 3] {
-        let streamed_dir = temp_dir(&format!("parity-streamed-{n}"));
-        save_sharded(&streamed_dir, ds, corpus, n, 2).expect("streamed save");
-        let (st_ds, st_corpus, _) = load_sharded(&streamed_dir, 2).expect("streamed load");
-
-        let mapped_dir = save_tiny_mapped(&format!("parity-mapped-{n}"), n);
-        let (mp_ds, mp_corpus, stats) = load_sharded(&mapped_dir, 2).expect("mapped load");
-        assert_eq!(stats.shard_count, n);
-        assert!(mp_corpus.index().is_mapped(), "{n} shards: index should be mapped");
-        assert!(!st_corpus.index().is_mapped());
-
-        // Backing-independent equality, both directions.
-        assert_eq!(st_corpus.index(), mp_corpus.index(), "{n} shards");
-        assert_eq!(st_corpus.doc_ids(), mp_corpus.doc_ids());
-
-        // Rank the whole workload through both stacks; bit-identical.
-        let config = FinderConfig::default();
-        let st_finder = ExpertFinder::with_corpus(&st_ds, st_corpus, &config);
-        let mp_finder = ExpertFinder::with_corpus(&mp_ds, mp_corpus, &config);
-        for need in ds.queries() {
-            let a = st_finder.rank(need);
-            let b = mp_finder.rank(need);
-            assert_eq!(a.len(), b.len(), "{n} shards: {need:?}");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.person, y.person);
-                assert_eq!(x.score.to_bits(), y.score.to_bits(), "{n} shards");
-            }
-        }
-        std::fs::remove_dir_all(&streamed_dir).ok();
-        std::fs::remove_dir_all(&mapped_dir).ok();
-    }
-}
-
-#[test]
 fn open_mapped_is_warm_after_save_and_cold_after_sidecar_loss() {
     let dir = save_tiny_mapped("warmcold", 2);
     // Every file got a sidecar at save time — first open is already warm.
@@ -106,20 +71,16 @@ fn open_mapped_is_warm_after_save_and_cold_after_sidecar_loss() {
 }
 
 #[test]
-fn open_mapped_matches_streamed_load_and_scores_identically() {
-    let (ds, corpus) = testkit::tiny();
-    let streamed_dir = temp_dir("openparity-streamed");
-    save_sharded(&streamed_dir, ds, corpus, 3, 2).unwrap();
-    let (_, st_corpus, _) = load_sharded(&streamed_dir, 2).unwrap();
-
+fn open_mapped_matches_the_built_index_and_scores_identically() {
+    let (_, corpus) = testkit::tiny();
     let mapped_dir = save_tiny_mapped("openparity-mapped", 3);
     let (index, _) = open_mapped(&mapped_dir).expect("mapped open");
-    assert_eq!(st_corpus.index(), &index);
+    assert!(index.is_mapped() && !corpus.index().is_mapped());
+    assert_eq!(corpus.index(), &index);
     let query = rightcrowd_index::Query::from_terms(["swim", "code", "cook"]);
-    let a = st_corpus.index().score_top_k(&query, 0.6, 10, |_| true);
+    let a = corpus.index().score_top_k(&query, 0.6, 10, |_| true);
     let b = index.score_top_k(&query, 0.6, 10, |_| true);
     assert_eq!(a, b);
-    std::fs::remove_dir_all(&streamed_dir).ok();
     std::fs::remove_dir_all(&mapped_dir).ok();
 }
 
@@ -199,7 +160,7 @@ fn forged_sidecar_cannot_bless_tampered_bytes() {
     resign_mapped_trailer(&mut bytes);
     std::fs::write(&path, &bytes).unwrap();
     let forged_digest = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    let sc = Sidecar::for_file(&path, SHARD_FORMAT_VERSION_MAPPED, forged_digest).unwrap();
+    let sc = Sidecar::for_file(&path, SHARD_FORMAT_VERSION, forged_digest).unwrap();
     write_sidecar(&path, &sc).unwrap();
     assert_eq!(read_sidecar(&path).unwrap(), sc, "forged sidecar is well-formed");
     // The manifest's digest is the trust anchor: the forged sidecar does
@@ -229,54 +190,27 @@ fn touched_manifest_falls_back_without_losing_the_open() {
 }
 
 #[test]
-fn open_mapped_refuses_streamed_layout() {
-    let (ds, corpus) = testkit::tiny();
-    let dir = temp_dir("refuse-streamed");
-    save_sharded(&dir, ds, corpus, 2, 2).unwrap();
-    match open_mapped(&dir) {
-        Err(StoreError::VersionMismatch { found: 1, expected: 2 }) => {}
-        other => panic!("expected VersionMismatch 1 vs 2, got {other:?}"),
-    }
-    // The streamed load of the same directory still works, of course.
-    assert!(load_sharded(&dir, 2).is_ok());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn layout_detection_and_save_determinism() {
-    let dir_a = save_tiny_mapped("determinism-a", 2);
-    let dir_b = save_tiny_mapped("determinism-b", 2);
-    assert!(rightcrowd_store::is_mapped_snapshot(&dir_a));
-    for i in 0..2u32 {
-        let a = std::fs::read(shard_path(&dir_a, i)).unwrap();
-        let b = std::fs::read(shard_path(&dir_b, i)).unwrap();
-        assert_eq!(a, b, "shard {i} bytes must be deterministic");
-    }
-    assert_eq!(
-        std::fs::read(manifest_path(&dir_a)).unwrap(),
-        std::fs::read(manifest_path(&dir_b)).unwrap()
-    );
-
-    let (ds, corpus) = testkit::tiny();
-    let streamed = temp_dir("determinism-streamed");
-    save_sharded(&streamed, ds, corpus, 2, 2).unwrap();
-    assert!(!rightcrowd_store::is_mapped_snapshot(&streamed));
-    std::fs::remove_dir_all(&dir_a).ok();
-    std::fs::remove_dir_all(&dir_b).ok();
-    std::fs::remove_dir_all(&streamed).ok();
-}
-
-#[test]
-fn mapped_corpus_saves_back_to_identical_monolithic_bytes() {
-    let (ds, corpus) = testkit::tiny();
-    let reference = to_bytes(ds, corpus);
+fn mapped_corpus_saves_back_to_identical_bytes() {
     let dir = save_tiny_mapped("resave", 2);
     let (mp_ds, mp_corpus, _) = load_sharded(&dir, 2).unwrap();
     assert!(mp_corpus.index().is_mapped());
-    // The monolithic writer regenerates packed sections from the mapped
-    // index's canonical parts — byte-identical output.
-    assert_eq!(to_bytes(&mp_ds, &mp_corpus), reference);
+    // The writer regenerates every shard from the mapped index's
+    // canonical parts — byte-identical output.
+    let again = temp_dir("resave-again");
+    save_sharded(&again, &mp_ds, &mp_corpus, 2, 2).unwrap();
+    assert_eq!(
+        std::fs::read(manifest_path(&dir)).unwrap(),
+        std::fs::read(manifest_path(&again)).unwrap()
+    );
+    for i in 0..2 {
+        assert_eq!(
+            std::fs::read(shard_path(&dir, i)).unwrap(),
+            std::fs::read(shard_path(&again, i)).unwrap(),
+            "shard {i}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&again).ok();
 }
 
 #[test]

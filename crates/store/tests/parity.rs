@@ -1,13 +1,13 @@
 //! Save → load → rank parity, and deterministic re-serialisation.
 //!
-//! The satellite contract (ISSUE 4): ranked scores after a snapshot
-//! round trip are bit-identical (tolerance ≤1e-12 allowed; we get exact)
-//! to the freshly built index, across random synth configs — and saving
-//! the loaded state again is byte-identical.
+//! Ranked scores after a snapshot round trip are bit-identical to the
+//! freshly built index across random synth configs, and saving the
+//! loaded state again is byte-identical.
 
 use rightcrowd_core::{AnalyzedCorpus, ExpertFinder, FinderConfig};
-use rightcrowd_store::{from_bytes, to_bytes};
+use rightcrowd_store::{load_sharded, manifest_path, save_sharded, shard_path};
 use rightcrowd_synth::{DatasetConfig, SyntheticDataset};
+use std::path::PathBuf;
 
 /// Random-but-seeded config variations: different RNG seeds and volume
 /// scalings around the tiny preset (kept tiny so the suite stays fast).
@@ -28,14 +28,23 @@ fn random_configs() -> Vec<DatasetConfig> {
     configs
 }
 
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rcstore-parity-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 #[test]
 fn save_load_rank_parity_across_random_configs() {
     for (case, cfg) in random_configs().into_iter().enumerate() {
         let ds = SyntheticDataset::generate(&cfg);
         let corpus = AnalyzedCorpus::build(&ds);
 
-        let bytes = to_bytes(&ds, &corpus);
-        let (loaded_ds, loaded_corpus) = from_bytes(&bytes).expect("round trip");
+        // Shard counts vary with the case, so 1-shard snapshots (the
+        // former single-file case) are covered too.
+        let dir = temp_dir(&format!("rank-{case}"));
+        save_sharded(&dir, &ds, &corpus, 1 + 2 * case, 2).expect("save");
+        let (loaded_ds, loaded_corpus, _) = load_sharded(&dir, 2).expect("round trip");
 
         // The reconstructed index must be *equal*, not merely equivalent.
         assert_eq!(
@@ -51,8 +60,7 @@ fn save_load_rank_parity_across_random_configs() {
         );
 
         // Rank the whole workload through both stacks; scores must match
-        // bit for bit (the contract allows ≤1e-12, the implementation
-        // delivers exact equality).
+        // bit for bit.
         let config = FinderConfig::default();
         let fresh = ExpertFinder::with_corpus(&ds, corpus, &config);
         let loaded = ExpertFinder::with_corpus(&loaded_ds, loaded_corpus, &config);
@@ -72,6 +80,7 @@ fn save_load_rank_parity_across_random_configs() {
                 );
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -80,61 +89,27 @@ fn second_save_of_loaded_state_is_byte_identical() {
     for (case, cfg) in random_configs().into_iter().enumerate() {
         let ds = SyntheticDataset::generate(&cfg);
         let corpus = AnalyzedCorpus::build(&ds);
-        let first = to_bytes(&ds, &corpus);
-        let (loaded_ds, loaded_corpus) = from_bytes(&first).expect("round trip");
-        let second = to_bytes(&loaded_ds, &loaded_corpus);
-        assert_eq!(first, second, "case {case}: serialisation is not deterministic");
+        let first = temp_dir(&format!("first-{case}"));
+        let second = temp_dir(&format!("second-{case}"));
+        save_sharded(&first, &ds, &corpus, 3, 2).expect("save");
+        let (loaded_ds, loaded_corpus, _) = load_sharded(&first, 2).expect("round trip");
+        save_sharded(&second, &loaded_ds, &loaded_corpus, 3, 2).expect("re-save");
+        let read = |dir: &PathBuf| {
+            let mut files = vec![std::fs::read(manifest_path(dir)).unwrap()];
+            files.extend((0..3).map(|i| std::fs::read(shard_path(dir, i)).unwrap()));
+            files
+        };
+        assert_eq!(read(&first), read(&second), "case {case}: serialisation is not deterministic");
+        std::fs::remove_dir_all(&first).ok();
+        std::fs::remove_dir_all(&second).ok();
     }
-}
-
-#[test]
-fn legacy_flags0_snapshot_still_loads_with_identical_ranking() {
-    // A pre-blocks (flags-0, flat-CSR) snapshot must keep loading — and
-    // rank exactly like the current layout of the same study.
-    let cfg = DatasetConfig::tiny();
-    let ds = SyntheticDataset::generate(&cfg);
-    let corpus = AnalyzedCorpus::build(&ds);
-
-    let legacy = rightcrowd_store::to_bytes_legacy(&ds, &corpus);
-    let current = to_bytes(&ds, &corpus);
-    let (legacy_ds, legacy_corpus) = from_bytes(&legacy).expect("legacy layout must load");
-    let (current_ds, current_corpus) = from_bytes(&current).expect("current layout must load");
-    assert_eq!(legacy_corpus.index(), current_corpus.index());
-
-    let config = FinderConfig::default();
-    let a = ExpertFinder::with_corpus(&legacy_ds, legacy_corpus, &config);
-    let b = ExpertFinder::with_corpus(&current_ds, current_corpus, &config);
-    for need in ds.queries() {
-        let (ra, rb) = (a.rank(need), b.rank(need));
-        assert_eq!(ra.len(), rb.len(), "query {:?}", need.text);
-        for (x, y) in ra.iter().zip(&rb) {
-            assert_eq!(x.person, y.person, "query {:?}", need.text);
-            assert_eq!(x.score.to_bits(), y.score.to_bits(), "query {:?}", need.text);
-        }
-    }
-}
-
-#[cfg(not(feature = "blocks-off"))]
-#[test]
-fn block_snapshot_is_smaller_than_legacy() {
-    let cfg = DatasetConfig::tiny();
-    let ds = SyntheticDataset::generate(&cfg);
-    let corpus = AnalyzedCorpus::build(&ds);
-    let legacy = rightcrowd_store::to_bytes_legacy(&ds, &corpus);
-    let current = to_bytes(&ds, &corpus);
-    assert!(
-        current.len() < legacy.len(),
-        "block+packed layout ({}) should undercut the legacy layout ({})",
-        current.len(),
-        legacy.len()
-    );
 }
 
 /// `snapshot_bytes_read` is CUMULATIVE across loads in a process — it
-/// answers "how many container bytes has this process read and verified",
-/// not "how large was the last snapshot". Loading the same container
+/// answers "how many manifest bytes has this process read and verified",
+/// not "how large was the last snapshot". Loading the same snapshot
 /// twice therefore grows the counter by (at least, under concurrent
-/// tests) the container size each time.
+/// tests) the manifest size each time.
 #[cfg(not(feature = "obs-off"))]
 #[test]
 fn snapshot_bytes_read_accumulates_across_loads() {
@@ -143,19 +118,21 @@ fn snapshot_bytes_read_accumulates_across_loads() {
     let cfg = DatasetConfig::tiny();
     let ds = SyntheticDataset::generate(&cfg);
     let corpus = AnalyzedCorpus::build(&ds);
-    let bytes = to_bytes(&ds, &corpus);
+    let dir = temp_dir("counter");
+    let saved = save_sharded(&dir, &ds, &corpus, 2, 2).expect("save");
 
     let before = rightcrowd_obs::counter::get(CounterId::SnapshotBytesRead);
-    from_bytes(&bytes).expect("first load");
+    load_sharded(&dir, 2).expect("first load");
     let after_one = rightcrowd_obs::counter::get(CounterId::SnapshotBytesRead);
-    from_bytes(&bytes).expect("second load");
+    load_sharded(&dir, 2).expect("second load");
     let after_two = rightcrowd_obs::counter::get(CounterId::SnapshotBytesRead);
 
     // ≥ rather than ==: the counter is process-global and other tests in
     // this binary may load snapshots concurrently.
-    let len = bytes.len() as u64;
+    let len = saved.manifest_bytes;
     assert!(after_one >= before + len, "{after_one} vs {before} + {len}");
     assert!(after_two >= after_one + len, "{after_two} vs {after_one} + {len}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -163,16 +140,15 @@ fn save_load_through_the_filesystem() {
     let cfg = DatasetConfig::tiny();
     let ds = SyntheticDataset::generate(&cfg);
     let corpus = AnalyzedCorpus::build(&ds);
+    let dir = temp_dir("fs");
 
-    let dir = std::env::temp_dir().join(format!("rcstore-parity-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("tiny.rcs");
-
-    let saved = rightcrowd_store::save(&path, &ds, &corpus).unwrap();
-    let on_disk = std::fs::metadata(&path).unwrap().len();
+    let saved = save_sharded(&dir, &ds, &corpus, 2, 2).unwrap();
+    let on_disk = std::fs::metadata(manifest_path(&dir)).unwrap().len()
+        + (0..2).map(|i| std::fs::metadata(shard_path(&dir, i)).unwrap().len()).sum::<u64>();
     assert_eq!(saved.bytes, on_disk);
+    assert_eq!(saved.manifest_bytes, std::fs::metadata(manifest_path(&dir)).unwrap().len());
 
-    let (loaded_ds, loaded_corpus, stats) = rightcrowd_store::load(&path).unwrap();
+    let (loaded_ds, loaded_corpus, stats) = load_sharded(&dir, 2).unwrap();
     assert_eq!(stats.bytes, on_disk);
     assert_eq!(loaded_corpus.retained(), corpus.retained());
     assert_eq!(loaded_ds.graph().counts(), ds.graph().counts());

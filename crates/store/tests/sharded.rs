@@ -1,17 +1,19 @@
-//! Sharded-snapshot contract tests: parity against the monolithic path
-//! and fault injection over the manifest + shard files.
+//! Snapshot-directory contract tests: parity against the freshly built
+//! index and fault injection over the manifest's shard table and the
+//! `RCSHRD02` shard files.
 //!
-//! Parity (ISSUE 5, satellite 3): `save_sharded → load_sharded → rank` is
-//! bit-identical to the monolithic snapshot of the same study for shard
-//! counts 1, 3 and 7. Fault injection: a missing shard file, duplicate /
-//! overlapping / gapped term ranges, a shard digest mismatch, and
-//! manifest/shard format-version skew each surface as the exact typed
-//! [`StoreError`] — never a panic.
+//! Parity: `save_sharded → load_sharded → rank` is bit-identical to the
+//! built study for shard counts 1, 3 and 7. Fault injection: missing,
+//! swapped, truncated and damaged shards; re-signed forgeries of block
+//! metadata and layout; duplicate / overlapping / gapped term ranges; and
+//! manifest/shard format-version skew (including the retired streamed
+//! format 1) each surface as the exact typed [`StoreError`] — never a
+//! panic, never a stale map.
 
 use rightcrowd_core::{testkit, ExpertFinder, FinderConfig};
 use rightcrowd_store::{
-    crc64, from_bytes, layout_with, load_sharded, manifest_path, save_sharded, shard_path,
-    to_bytes, StoreError, MANIFEST_MAGIC,
+    crc64, layout, load_sharded, manifest_path, open_mapped, save_sharded, shard_path,
+    StoreError, FLAG_PACKED_SECTIONS, MANIFEST_MAGIC,
 };
 use std::path::{Path, PathBuf};
 
@@ -32,12 +34,12 @@ fn save_tiny_sharded(tag: &str, n: usize) -> PathBuf {
     dir
 }
 
-/// Recomputes every checksum of a container after tampering: each
+/// Recomputes every checksum of a manifest after tampering: each
 /// section's table CRC entry, the table CRC, and the whole-file CRC. With
 /// the envelope re-signed, only the structural validators stand between
 /// the tampered bytes and the loader.
-fn resign(bytes: &mut [u8], magic: &[u8; 8]) {
-    let infos = layout_with(bytes, magic).expect("layout");
+fn resign(bytes: &mut [u8]) {
+    let infos = layout(bytes, &MANIFEST_MAGIC).expect("layout");
     let table = infos.iter().find(|i| i.name == "table").expect("table region");
     for info in infos.iter().filter(|i| i.kind != 0) {
         let section_crc = crc64(&bytes[info.offset..info.offset + info.len]);
@@ -58,26 +60,19 @@ fn resign(bytes: &mut [u8], magic: &[u8; 8]) {
     bytes[end..].copy_from_slice(&file_crc.to_le_bytes());
 }
 
-/// Byte offset of the `shard_table` payload inside the manifest, plus its
-/// length.
-fn shard_table_region(manifest: &[u8]) -> (usize, usize) {
-    let infos = layout_with(manifest, &MANIFEST_MAGIC).expect("manifest layout");
-    let info = infos.iter().find(|i| i.name == "shard_table").expect("shard_table section");
-    (info.offset, info.len)
-}
-
 /// Applies `tamper` to the manifest's shard-table payload, re-signs the
 /// envelope, and writes the result back.
 fn tamper_shard_table(dir: &Path, tamper: impl FnOnce(&mut [u8])) {
     let path = manifest_path(dir);
     let mut manifest = std::fs::read(&path).unwrap();
-    let (offset, len) = shard_table_region(&manifest);
+    let infos = layout(&manifest, &MANIFEST_MAGIC).expect("manifest layout");
+    let info = infos.iter().find(|i| i.name == "shard_table").expect("shard_table section");
     // Packed manifests wrap each section with a one-byte packing tag (the
     // shard table itself rides raw); aim past it at the actual payload.
     let flags = u32::from_le_bytes(manifest[12..16].try_into().unwrap());
-    let skip = usize::from(flags & rightcrowd_store::FLAG_PACKED_SECTIONS != 0);
-    tamper(&mut manifest[offset + skip..offset + len]);
-    resign(&mut manifest, &MANIFEST_MAGIC);
+    let skip = usize::from(flags & FLAG_PACKED_SECTIONS != 0);
+    tamper(&mut manifest[info.offset + skip..info.offset + info.len]);
+    resign(&mut manifest);
     std::fs::write(&path, &manifest).unwrap();
 }
 
@@ -93,31 +88,73 @@ fn entry_term_lo(i: usize) -> usize {
     TABLE_HEADER + i * ENTRY_LEN
 }
 
-#[test]
-fn sharded_parity_with_monolithic_for_1_3_7() {
-    let (ds, corpus) = testkit::tiny();
-    let monolithic = to_bytes(ds, corpus);
+/// The `(offset, len)` of the payload of section `kind` in an `RCSHRD02`
+/// file (32-byte header, then 24-byte rows: kind u32 | reserved u32 |
+/// offset u64 | len u64).
+fn mapped_section(bytes: &[u8], kind: u32) -> (usize, usize) {
+    let count = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+    (0..count)
+        .map(|i| 32 + i * 24)
+        .find(|&row| u32::from_le_bytes(bytes[row..row + 4].try_into().unwrap()) == kind)
+        .map(|row| {
+            let at = |a: usize| u64::from_le_bytes(bytes[a..a + 8].try_into().unwrap()) as usize;
+            (at(row + 8), at(row + 16))
+        })
+        .expect("section present")
+}
 
+/// A consistent rewrite of shard `index`: `tamper` edits the file bytes,
+/// the file's trailing digest is re-signed, and the manifest's entry for
+/// the shard is updated to the new length and digest (then re-signed) —
+/// so only the shard's own structural checks can object.
+fn forge_shard(dir: &Path, index: u32, tamper: impl FnOnce(&mut Vec<u8>)) {
+    let path = shard_path(dir, index);
+    let mut bytes = std::fs::read(&path).unwrap();
+    tamper(&mut bytes);
+    let end = bytes.len() - 8;
+    let digest = crc64(&bytes[..end]);
+    bytes[end..].copy_from_slice(&digest.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let len = bytes.len() as u64;
+    tamper_shard_table(dir, |table| {
+        let at = entry_term_lo(index as usize) + 16;
+        table[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        table[at + 8..at + 16].copy_from_slice(&digest.to_le_bytes());
+    });
+}
+
+/// Opens `dir` both ways — the full load and the index-only open — and
+/// returns the full load's error after checking both refused.
+fn refused(dir: &Path) -> StoreError {
+    let Err(full) = load_sharded(dir, 2) else { panic!("the full load must refuse") };
+    assert!(open_mapped(dir).is_err(), "the index-only open must refuse too");
+    full
+}
+
+#[test]
+fn sharded_parity_with_built_index_for_1_3_7() {
+    let (ds, corpus) = testkit::tiny();
+    let config = FinderConfig::default();
+    let built_finder =
+        ExpertFinder::with_corpus(ds, rightcrowd_core::AnalyzedCorpus::build(ds), &config);
     for n in [1usize, 3, 7] {
-        let (mono_ds, mono_corpus) = from_bytes(&monolithic).expect("monolithic load");
         let dir = save_tiny_sharded(&format!("parity-{n}"), n);
         let (sh_ds, sh_corpus, stats) = load_sharded(&dir, 2).expect("sharded load");
         assert_eq!(stats.shard_count, n);
         assert!(stats.manifest_bytes > 0 && stats.bytes > stats.manifest_bytes);
+        assert!(sh_corpus.index().is_mapped(), "{n} shards: index should be mapped");
 
-        // The spliced index is *equal* to the monolithic one — every
-        // scoring path is observably identical.
-        assert_eq!(mono_corpus.index(), sh_corpus.index(), "{n} shards: index differs");
-        assert_eq!(mono_corpus.doc_ids(), sh_corpus.doc_ids(), "{n} shards");
-        assert_eq!(mono_ds.graph().counts(), sh_ds.graph().counts(), "{n} shards");
+        // The mapped index is *equal* to the built one — every scoring
+        // path is observably identical.
+        assert_eq!(corpus.index(), sh_corpus.index(), "{n} shards: index differs");
+        assert_eq!(corpus.doc_ids(), sh_corpus.doc_ids(), "{n} shards");
+        assert_eq!(ds.graph().counts(), sh_ds.graph().counts(), "{n} shards");
 
         // Rank the whole workload through both stacks; scores must match
         // bit for bit.
-        let config = FinderConfig::default();
-        let mono_finder = ExpertFinder::with_corpus(&mono_ds, mono_corpus, &config);
         let sharded_finder = ExpertFinder::with_corpus(&sh_ds, sh_corpus, &config);
         for need in ds.queries() {
-            let a = mono_finder.rank(need);
+            let a = built_finder.rank(need);
             let b = sharded_finder.rank(need);
             assert_eq!(a.len(), b.len(), "{n} shards, query {:?}", need.text);
             for (x, y) in a.iter().zip(&b) {
@@ -174,8 +211,8 @@ fn narrower_resave_removes_stale_shards() {
 fn missing_shard_file_is_shard_missing() {
     let dir = save_tiny_sharded("missing", 3);
     std::fs::remove_file(shard_path(&dir, 1)).unwrap();
-    match load_sharded(&dir, 2) {
-        Err(StoreError::ShardMissing { index: 1 }) => {}
+    match refused(&dir) {
+        StoreError::ShardMissing { index: 1 } => {}
         other => panic!("expected ShardMissing {{ index: 1 }}, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -186,13 +223,13 @@ fn damaged_shard_payload_is_shard_checksum_mismatch() {
     let dir = save_tiny_sharded("crc", 3);
     let path = shard_path(&dir, 2);
     let mut bytes = std::fs::read(&path).unwrap();
-    // Flip one payload bit past the envelope header; the manifest digest
-    // must catch it in the single whole-file pass.
+    // Flip one payload bit; the rewrite leaves the sidecar stale, so the
+    // open streams the CRC pass and the manifest digest catches it.
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
-    match load_sharded(&dir, 2) {
-        Err(StoreError::ShardChecksumMismatch { index: 2 }) => {}
+    match refused(&dir) {
+        StoreError::ShardChecksumMismatch { index: 2 } => {}
         other => panic!("expected ShardChecksumMismatch {{ index: 2 }}, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -207,51 +244,111 @@ fn swapped_shard_files_are_shard_checksum_mismatch() {
     std::fs::write(shard_path(&dir, 1), &a).unwrap();
     // Each file is internally consistent, but not the file the manifest
     // digested at that position.
-    match load_sharded(&dir, 1) {
-        Err(StoreError::ShardChecksumMismatch { index: 0 }) => {}
+    match refused(&dir) {
+        StoreError::ShardChecksumMismatch { index: 0 } => {}
         other => panic!("expected ShardChecksumMismatch {{ index: 0 }}, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn truncated_shard_is_truncated() {
+fn truncated_shard_is_shard_checksum_mismatch() {
+    // The manifest promises each shard's exact length, so a short file is
+    // refused before it is mapped — never a stale map.
     let dir = save_tiny_sharded("shard-trunc", 3);
     let path = shard_path(&dir, 0);
     let bytes = std::fs::read(&path).unwrap();
-    for cut in [10, bytes.len() / 2, bytes.len() - 1] {
+    for cut in [0, 10, bytes.len() / 2, bytes.len() - 1] {
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        match load_sharded(&dir, 1) {
-            Err(StoreError::Truncated) => {}
-            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+        match refused(&dir) {
+            StoreError::ShardChecksumMismatch { index: 0 } => {}
+            other => panic!("cut at {cut}: expected ShardChecksumMismatch, got {other:?}"),
         }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn shard_envelope_version_flip_is_version_mismatch() {
+fn shard_header_version_flip_is_version_mismatch() {
     let dir = save_tiny_sharded("shard-version", 2);
     let path = shard_path(&dir, 0);
     let mut bytes = std::fs::read(&path).unwrap();
-    bytes[8] ^= 0x02; // envelope version word, right after the magic
+    bytes[8] ^= 0x02; // format version word, right after the magic
     std::fs::write(&path, &bytes).unwrap();
-    assert!(matches!(load_sharded(&dir, 1), Err(StoreError::VersionMismatch { .. })));
+    match refused(&dir) {
+        StoreError::VersionMismatch { found: 0, expected: 2 } => {}
+        other => panic!("expected VersionMismatch 0 vs 2, got {other:?}"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn shard_magic_flip_is_bad_magic() {
+fn shard_magic_damage_is_bad_magic() {
     let dir = save_tiny_sharded("shard-magic", 2);
     let path = shard_path(&dir, 1);
-    let mut bytes = std::fs::read(&path).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let mut bytes = pristine.clone();
     bytes[0] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
-    assert!(matches!(load_sharded(&dir, 1), Err(StoreError::BadMagic)));
-    // A monolithic snapshot dropped in place of a shard is also BadMagic.
-    let (ds, corpus) = testkit::tiny();
-    std::fs::write(&path, to_bytes(ds, corpus)).unwrap();
-    assert!(matches!(load_sharded(&dir, 1), Err(StoreError::BadMagic)));
+    assert!(matches!(refused(&dir), StoreError::BadMagic));
+    // A file carrying the retired streamed-shard magic in its place is
+    // also BadMagic.
+    let mut retired = pristine;
+    retired[0..8].copy_from_slice(b"RCSHRD01");
+    std::fs::write(&path, &retired).unwrap();
+    assert!(matches!(refused(&dir), StoreError::BadMagic));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Consistent rewrite of *block metadata*: forge the first term block's
+/// recorded `last_doc` (re-signing the shard and its manifest entry), and
+/// the cold open's delta-decode cross-check must refuse the postings.
+#[test]
+fn checksum_valid_block_last_doc_damage_is_corrupt() {
+    let dir = save_tiny_sharded("forge-last-doc", 2);
+    forge_shard(&dir, 0, |bytes| {
+        let (at, len) = mapped_section(bytes, 7); // T_LAST_DOC
+        assert!(len >= 4, "tiny snapshot should have at least one term block");
+        bytes[at] ^= 0x01;
+    });
+    match refused(&dir) {
+        StoreError::Corrupt(msg) => assert!(msg.contains("last doc"), "{msg}"),
+        other => panic!("expected Corrupt(last doc), got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Consistent rewrite of a block bound: an inflated `max_score` would let
+/// MaxScore prune wrongly, so the cold open must refuse it.
+#[test]
+fn checksum_valid_block_bound_damage_is_corrupt() {
+    let dir = save_tiny_sharded("forge-bound", 2);
+    forge_shard(&dir, 1, |bytes| {
+        let (at, len) = mapped_section(bytes, 11); // T_MAX_SCORE
+        assert!(len >= 8);
+        let v = f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) + 1.0;
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    });
+    match refused(&dir) {
+        StoreError::Corrupt(msg) => assert!(msg.contains("max weight"), "{msg}"),
+        other => panic!("expected Corrupt(max weight), got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Consistent rewrite of the layout: bytes appended before the digest
+/// (length and digest re-promised by the manifest) are trailing garbage.
+#[test]
+fn checksum_valid_trailing_garbage_is_corrupt() {
+    let dir = save_tiny_sharded("forge-trailing", 2);
+    forge_shard(&dir, 0, |bytes| {
+        let end = bytes.len() - 8;
+        bytes.splice(end..end, [0u8; 64]);
+    });
+    match refused(&dir) {
+        StoreError::Corrupt(msg) => assert!(msg.contains("trailing garbage"), "{msg}"),
+        other => panic!("expected Corrupt(trailing garbage), got {other:?}"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -263,11 +360,29 @@ fn manifest_format_version_skew_is_version_mismatch() {
     tamper_shard_table(&dir, |table| {
         table[0..4].copy_from_slice(&99u32.to_le_bytes());
     });
-    match load_sharded(&dir, 1) {
-        // `expected` reports the newest supported revision (the mapped
-        // format), whatever the layout on disk.
-        Err(StoreError::VersionMismatch { found: 99, expected: 2 }) => {}
+    match refused(&dir) {
+        StoreError::VersionMismatch { found: 99, expected: 2 } => {}
         other => panic!("expected VersionMismatch 99 vs 2, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn retired_streamed_table_version_is_version_mismatch() {
+    // A manifest declaring the retired streamed shard format (1) is
+    // refused by both openers with the typed version error, never read
+    // as the current format.
+    let dir = save_tiny_sharded("retired", 2);
+    tamper_shard_table(&dir, |table| {
+        table[0..4].copy_from_slice(&1u32.to_le_bytes());
+    });
+    match load_sharded(&dir, 2) {
+        Err(StoreError::VersionMismatch { found: 1, expected: 2 }) => {}
+        other => panic!("expected VersionMismatch 1 vs 2, got {:?}", other.err()),
+    }
+    match open_mapped(&dir) {
+        Err(StoreError::VersionMismatch { found: 1, expected: 2 }) => {}
+        other => panic!("expected VersionMismatch 1 vs 2, got {:?}", other.err()),
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -281,8 +396,8 @@ fn gapped_term_ranges_are_corrupt() {
         let lo = u32::from_le_bytes(table[at..at + 4].try_into().unwrap());
         table[at..at + 4].copy_from_slice(&(lo + 1).to_le_bytes());
     });
-    match load_sharded(&dir, 1) {
-        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("gap"), "{msg}"),
+    match refused(&dir) {
+        StoreError::Corrupt(msg) => assert!(msg.contains("gap"), "{msg}"),
         other => panic!("expected Corrupt(gap), got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -298,10 +413,8 @@ fn overlapping_term_ranges_are_corrupt() {
         assert!(lo > 0, "tiny corpus should give shard 0 a non-empty range");
         table[at..at + 4].copy_from_slice(&(lo - 1).to_le_bytes());
     });
-    match load_sharded(&dir, 1) {
-        Err(StoreError::Corrupt(msg)) => {
-            assert!(msg.contains("overlap"), "{msg}");
-        }
+    match refused(&dir) {
+        StoreError::Corrupt(msg) => assert!(msg.contains("overlap"), "{msg}"),
         other => panic!("expected Corrupt(overlap), got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -316,10 +429,8 @@ fn duplicate_shard_entries_are_corrupt() {
         let entry0: Vec<u8> = table[e0..e0 + ENTRY_LEN].to_vec();
         table[e1..e1 + ENTRY_LEN].copy_from_slice(&entry0);
     });
-    match load_sharded(&dir, 1) {
-        Err(StoreError::Corrupt(msg)) => {
-            assert!(msg.contains("duplicates or overlaps"), "{msg}");
-        }
+    match refused(&dir) {
+        StoreError::Corrupt(msg) => assert!(msg.contains("duplicates or overlaps"), "{msg}"),
         other => panic!("expected Corrupt(duplicate), got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -332,8 +443,8 @@ fn truncated_manifest_is_truncated() {
     let bytes = std::fs::read(&path).unwrap();
     for cut in [0, 10, bytes.len() / 2, bytes.len() - 1] {
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        match load_sharded(&dir, 1) {
-            Err(StoreError::Truncated) => {}
+        match refused(&dir) {
+            StoreError::Truncated => {}
             other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
         }
     }
@@ -341,11 +452,14 @@ fn truncated_manifest_is_truncated() {
 }
 
 #[test]
-fn monolithic_file_as_manifest_is_bad_magic() {
+fn retired_monolithic_magic_as_manifest_is_bad_magic() {
+    // A manifest-sized file under the retired single-file magic.
     let dir = save_tiny_sharded("mani-magic", 2);
-    let (ds, corpus) = testkit::tiny();
-    std::fs::write(manifest_path(&dir), to_bytes(ds, corpus)).unwrap();
-    assert!(matches!(load_sharded(&dir, 1), Err(StoreError::BadMagic)));
+    let path = manifest_path(&dir);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[0..8].copy_from_slice(b"RCSNAP01");
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(refused(&dir), StoreError::BadMagic));
     std::fs::remove_dir_all(&dir).ok();
 }
 

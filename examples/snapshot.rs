@@ -1,5 +1,5 @@
-//! Snapshot round trip: build once, save a store container, load it back
-//! and serve queries without re-running the pipeline.
+//! Snapshot round trip: build once, save a snapshot directory, load it
+//! back and serve queries without re-running the pipeline.
 //!
 //! ```sh
 //! cargo run --release --example snapshot
@@ -19,21 +19,28 @@ fn main() {
     let build_ms = started.elapsed().as_secs_f64() * 1e3;
     println!("  {} documents indexed in {build_ms:.0} ms", corpus.retained());
 
-    // Save: one versioned, checksummed container holds everything the
-    // query path needs.
-    let path = std::env::temp_dir().join("rightcrowd-example.rcs");
-    let saved = store::save(&path, &dataset, &corpus).expect("save snapshot");
-    println!("saved {} ({} bytes in {:.0} ms)", path.display(), saved.bytes, saved.elapsed_ms);
+    // Save: one directory holds everything the query path needs — a
+    // checksummed manifest plus the postings split over mapped shards.
+    let dir = std::env::temp_dir().join(format!("rightcrowd-example-{}.snap", std::process::id()));
+    let saved = store::save_sharded(&dir, &dataset, &corpus, 2, 2).expect("save snapshot");
+    println!(
+        "saved {} ({} shards + {} byte manifest, {} bytes in {:.0} ms)",
+        dir.display(),
+        saved.shard_count,
+        saved.manifest_bytes,
+        saved.bytes,
+        saved.elapsed_ms
+    );
 
-    // Inspect the container layout (what `rc load` verifies).
-    let bytes = std::fs::read(&path).expect("read container back");
-    println!("sections:");
-    for info in store::layout(&bytes).expect("layout") {
+    // Inspect the manifest layout (what `rc load` verifies first).
+    let manifest = std::fs::read(store::manifest_path(&dir)).expect("read manifest back");
+    println!("manifest sections:");
+    for info in store::layout(&manifest, &store::MANIFEST_MAGIC).expect("layout") {
         println!("  {:<13} {:>8} bytes at {:>8}", info.name, info.len, info.offset);
     }
 
-    // Load: verify checksums + version, reconstruct — no pipeline run.
-    let (loaded_ds, loaded_corpus, stats) = store::load(&path).expect("load snapshot");
+    // Load: verify checksums + version, map the shards — no pipeline run.
+    let (loaded_ds, loaded_corpus, stats) = store::load_sharded(&dir, 2).expect("load snapshot");
     println!(
         "loaded in {:.0} ms ({:.1}x faster than the {build_ms:.0} ms build)",
         stats.elapsed_ms,
@@ -51,15 +58,22 @@ fn main() {
         println!("  {}. {:<22} score {:>9.2}", rank + 1, person.name, expert.score);
     }
 
-    // Damage demo: flip one payload bit and the load refuses with a typed
-    // error naming the section — never a panic, never silent garbage.
-    let mut damaged = bytes.clone();
-    let mid = damaged.len() / 2;
-    damaged[mid] ^= 0x01;
-    match store::from_bytes(&damaged) {
-        Err(e) => println!("\nflipped one bit at byte {mid}: {e}"),
-        Ok(_) => unreachable!("a damaged container must not load"),
+    // Damage demo: flip one bit inside the manifest's graph section and
+    // the load refuses with a typed error naming the section — never a
+    // panic, never silent garbage.
+    let graph = store::layout(&manifest, &store::MANIFEST_MAGIC)
+        .expect("layout")
+        .into_iter()
+        .find(|info| info.name == "graph")
+        .expect("graph section");
+    let mut damaged = manifest.clone();
+    let at = graph.offset + graph.len / 2;
+    damaged[at] ^= 0x01;
+    std::fs::write(store::manifest_path(&dir), &damaged).expect("write damaged manifest");
+    match store::load_sharded(&dir, 2) {
+        Err(e) => println!("\nflipped one bit at manifest byte {at}: {e}"),
+        Ok(_) => unreachable!("a damaged snapshot must not load"),
     }
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
